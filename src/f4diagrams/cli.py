@@ -78,7 +78,6 @@ def _parse_fraction(text: str) -> Fraction:
 
 def _cmd_eval(args) -> int:
     from .functor import apply_combo_to_basis, closure, phi_closed
-    from .functor import ExactTensor
 
     try:
         combo = parse_diagram(args.expr)
@@ -116,14 +115,16 @@ def _cmd_eval(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        out = apply_combo_to_basis(concrete, idx)
-        tensor = ExactTensor.from_sparse((26,) * combo.tgt, out)
-        text = tensor.to_lines()
+        out = sorted(apply_combo_to_basis(concrete, idx).items())
+        if combo.tgt == 0:
+            lines = [str(out[0][1]) if out else "0"]
+        else:
+            lines = [f"({','.join(map(str, k))}) -> {v}" for k, v in out] or ["0"]
         payload = {
             "input": list(idx),
-            "output": {",".join(map(str, k)): str(v) for k, v in sorted(out.items())},
+            "output": {",".join(map(str, k)): str(v) for k, v in out},
         }
-        _emit(payload, [text] if text else ["0"], args.format)
+        _emit(payload, lines, args.format)
         return 0
 
     summary = f"{combo.src} -> {combo.tgt} map, {len(combo.terms)} term(s)"

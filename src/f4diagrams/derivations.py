@@ -38,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -341,10 +342,15 @@ def _write_cache(path: str, mats: List[RatMatrix]) -> None:
     for m in mats:
         parts.append(m.to_text())
         parts.append("")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write("\n".join(parts))
-    os.replace(tmp, path)
+    # A unique temp file per writer, so concurrent processes never share one.
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=_CACHE_FILE, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="ascii") as fh:
+            fh.write("\n".join(parts))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _read_cache(path: str) -> Optional[List[RatMatrix]]:
@@ -417,7 +423,8 @@ def derivation_basis() -> List[Derivation]:
     Loads the cached basis when its fingerprint matches, otherwise solves
     the Leibniz system.  Either way every matrix is re-certified in exact
     arithmetic before being returned, so a stale or corrupt cache can only
-    cause recomputation, never a wrong answer.
+    cause recomputation, never a wrong answer; a fresh solve rewrites the
+    cache, so the next load finds it sound again.
     """
     global _BASIS, _FREE_COLS
     if _BASIS is not None:
@@ -430,7 +437,8 @@ def derivation_basis() -> List[Derivation]:
         flat = [[m.data[r][c] for r in range(N_A) for c in range(N_A)] for m in cached]
     if flat is not None and not _certified(flat):
         flat = None
-    if flat is None:
+    solved = flat is None
+    if solved:
         flat = _compute_basis_fresh()
         if not _certified(flat):
             raise AssertionError("lifted derivation basis failed exact certification")
@@ -443,7 +451,7 @@ def derivation_basis() -> List[Derivation]:
         RatMatrix.from_rows([vec[N_A * r : N_A * (r + 1)] for r in range(N_A)])
         for vec in flat
     ]
-    if cached is None or len(cached) != DIM_DER:
+    if solved:
         _write_cache(path, mats)
     _FREE_COLS = free
     _BASIS = [Derivation(m) for m in mats]

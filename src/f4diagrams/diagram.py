@@ -33,6 +33,10 @@ from .ratfield import RatFunc, rf_specialize
 
 Coefficient = Union[Fraction, RatFunc]
 
+#: largest N the parser accepts in sym(N)/asym(N): the combo has N! terms,
+#: and N = 8 already takes tens of seconds and hundreds of MB to build
+MAX_SYMMETRIZER = 7
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -868,6 +872,10 @@ class _Parser:
                 n = self._int_arg()
                 if n < 1:
                     raise DiagramSyntaxError(f"{word}(N) needs N >= 1", t.pos)
+                if n > MAX_SYMMETRIZER:
+                    raise DiagramSyntaxError(
+                        f"{word}(N) allows N <= {MAX_SYMMETRIZER} (it builds N! terms)", t.pos
+                    )
                 return symmetrizer(n, anti=(word == "asym"))
             if word == "named":
                 self.expect_op("(")

@@ -9,15 +9,17 @@ dim 26):
     cap   -> (a, b) |-> tr(a o b)
     split -> a |-> sum_b b (x) projection of (b-dual o a)
 
-is monoidal, so a term evaluates layer by layer: each stage applies one
-generator at a strand offset.  States are sparse dictionaries
-{index-tuple: Fraction}; dense tensors exist only as a public output
-format.  Everything is exact — the whole module contains no floats.
+is monoidal, so a term evaluates layer by layer on one basis input: each
+stage applies one generator at a strand offset (the streaming evaluator
+behind ``apply_combo_to_basis`` and ``scan_basis``).  A whole term also
+evaluates at once as a tensor network: generator nodes joined by wires,
+with the input and output strands as boundary ports, contracted pairwise
+in a greedy smallest-intermediate order (``phi_tensor``; ``phi_closed`` is
+the case with no ports).  A creation-order strategy exists solely so
+tests can confirm the result is order-independent.
 
-Closed (0 -> 0) terms evaluate by tensor-network contraction with a
-greedy smallest-intermediate pairing order; an alternative
-creation-order strategy exists solely so tests can confirm the result is
-order-independent.
+All states and results are sparse dictionaries {index-tuple: Fraction}.
+Everything is exact -- the whole module contains no floats.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .albert import ModuleVector, build_basis, coords_V, jordan, project_v
+from .albert import build_basis, coords_V, jordan, project_v
 from .diagram import (
     CAP,
     CROSS,
@@ -53,94 +55,12 @@ Sparse = Dict[Tuple[int, ...], Fraction]
 
 
 # ---------------------------------------------------------------------------
-# dense output format
-# ---------------------------------------------------------------------------
-
-
-class ExactTensor:
-    """Dense rational tensor; all index ranges are DIM = 26."""
-
-    __slots__ = ("shape", "entries")
-
-    def __init__(self, shape: Sequence[int], entries: Optional[List[Fraction]] = None):
-        shape = tuple(int(s) for s in shape)
-        size = 1
-        for s in shape:
-            size *= s
-        if entries is None:
-            entries = [ZERO] * size
-        elif len(entries) != size:
-            raise ValueError("entry count does not match shape")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ExactTensor is immutable (build a new one)")
-
-    @classmethod
-    def from_sparse(cls, shape: Sequence[int], sparse: Sparse) -> "ExactTensor":
-        t = cls(shape)
-        for idx, c in sparse.items():
-            t.entries[t._flat(idx)] = c
-        return t
-
-    def _flat(self, idx: Tuple[int, ...]) -> int:
-        if len(idx) != len(self.shape):
-            raise IndexError(f"rank-{len(self.shape)} tensor indexed with {len(idx)} indices")
-        f = 0
-        for i, s in zip(idx, self.shape):
-            if not 0 <= i < s:
-                raise IndexError(f"index {idx} out of range for shape {self.shape}")
-            f = f * s + i
-        return f
-
-    def __getitem__(self, idx):
-        if isinstance(idx, int):
-            idx = (idx,)
-        return self.entries[self._flat(tuple(idx))]
-
-    def to_sparse(self) -> Sparse:
-        out: Sparse = {}
-        for idx in product(*(range(s) for s in self.shape)):
-            c = self.entries[self._flat(idx)]
-            if c:
-                out[idx] = c
-        return out
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.entries)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExactTensor)
-            and other.shape == self.shape
-            and other.entries == self.entries
-        )
-
-    def __repr__(self):
-        nnz = sum(1 for c in self.entries if c)
-        return f"ExactTensor(shape={self.shape}, nonzeros={nnz})"
-
-    def to_lines(self) -> str:
-        """Nonzero entries, one per line: "(i1,...,ik) -> p/q", indices
-        0-based, lexicographic; a rank-0 tensor prints as a bare "p/q"."""
-        if not self.shape:
-            return str(self.entries[0])
-        lines = []
-        for idx in product(*(range(s) for s in self.shape)):
-            c = self.entries[self._flat(idx)]
-            if c:
-                lines.append(f"({','.join(map(str, idx))}) -> {c}")
-        return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
 # generator tensors
 # ---------------------------------------------------------------------------
 
 
 class GeneratorTensors:
-    """Sparse action tables for the five generators, plus dense views.
+    """Sparse action tables for the five generators.
 
     merge_out[(i,j)]  -> ((k, c), ...):            pi(b_i o b_j) = sum c b_k
     split_out[k]      -> ((i, j, c), ...):         split(b_k) = sum c b_i (x) b_j
@@ -194,30 +114,6 @@ class GeneratorTensors:
 
     def __setattr__(self, *a):
         raise AttributeError("GeneratorTensors is immutable")
-
-    # -- dense views ---------------------------------------------------------
-
-    def merge_tensor(self) -> ExactTensor:
-        """Shape (26,26,26): [k][i][j] = coefficient of b_k in pi(b_i o b_j)."""
-        sp: Sparse = {}
-        for (i, j), hits in self.merge_out.items():
-            for k, c in hits:
-                sp[(k, i, j)] = c
-        return ExactTensor.from_sparse((DIM, DIM, DIM), sp)
-
-    def split_tensor(self) -> ExactTensor:
-        """Shape (26,26,26): [i][j][k] = coefficient of b_i (x) b_j in split(b_k)."""
-        sp: Sparse = {}
-        for k, hits in self.split_out.items():
-            for i, j, c in hits:
-                sp[(i, j, k)] = c
-        return ExactTensor.from_sparse((DIM, DIM, DIM), sp)
-
-    def cup_tensor(self) -> ExactTensor:
-        return ExactTensor.from_sparse((DIM, DIM), {(i, j): c for i, j, c in self.cup_out})
-
-    def cap_tensor(self) -> ExactTensor:
-        return ExactTensor.from_sparse((DIM, DIM), dict(self.cap_val))
 
 
 _GENS: Optional[GeneratorTensors] = None
@@ -345,41 +241,24 @@ def basis_indices(m: int) -> Iterable[Tuple[int, ...]]:
     return product(range(DIM), repeat=m)
 
 
-def _as_sparse_input(x, arity: int) -> Sparse:
-    if isinstance(x, ExactTensor):
-        if len(x.shape) != arity:
-            raise DiagramArityError(
-                f"combo consumes {arity} strands, tensor has rank {len(x.shape)}"
-            )
-        return x.to_sparse()
-    if isinstance(x, ModuleVector):
-        if arity != 1:
-            raise DiagramArityError(f"combo consumes {arity} strands, got a single vector")
-        return {(i,): c for i, c in enumerate(x.coords) if c}
-    if isinstance(x, dict):
-        for k in x:
-            if len(k) != arity:
-                raise DiagramArityError(
-                    f"combo consumes {arity} strands, sparse key has {len(k)}"
-                )
-        return dict(x)
-    raise TypeError(f"cannot interpret {type(x).__name__} as a tensor input")
+def scan_basis(f) -> Tuple[int, int]:
+    """Stream every standard basis input through a concrete combo.
 
-
-def phi_apply(f, x) -> ExactTensor:
-    """Evaluate a combo on an input tensor; returns a dense rank-target
-    tensor.  Inputs may be ExactTensor, ModuleVector, or sparse dict."""
+    Returns (inputs checked, largest number of nonzero output coordinates
+    seen); the map is zero exactly when the second number is 0.  Never
+    materializes a dense 26^(m+n) tensor; each input's output stays sparse.
+    """
     f = _check_concrete(as_combo(f))
-    state = _as_sparse_input(x, f.src)
-    out: Sparse = {}
-    for term, coeff in f.terms:
-        for k, v in apply_term_sparse(term, dict(state)).items():
-            out[k] = out.get(k, ZERO) + coeff * v
-    return ExactTensor.from_sparse((DIM,) * f.tgt, _prune(out))
+    checked = 0
+    worst = 0
+    for idx in basis_indices(f.src):
+        checked += 1
+        worst = max(worst, len(apply_combo_to_basis(f, idx)))
+    return checked, worst
 
 
 # ---------------------------------------------------------------------------
-# closed diagrams: tensor-network contraction
+# whole terms: tensor-network contraction
 # ---------------------------------------------------------------------------
 
 
@@ -412,14 +291,17 @@ def _node_tensors() -> Tuple[dict, dict, dict, dict]:
     return _NODE_TENSORS
 
 
-def _network_of(term: DiagramTerm) -> List[_Node]:
-    """Turn a closed term into generator nodes joined by wires; crossings
-    become wire permutations, identities disappear."""
+def _network_of(term: DiagramTerm) -> Tuple[List[_Node], List[int]]:
+    """Turn a term into generator nodes joined by wires; crossings become
+    wire permutations, identities disappear.  Returns the nodes and the
+    boundary wires: the term.src inputs, then the term.tgt outputs (a
+    through strand is both, so its wire appears twice)."""
     merge_nd, split_nd, cup_nd, cap_nd = _node_tensors()
 
-    nodes: List[_Node] = []
-    wires: List[int] = []
     fresh = iter(range(10**9)).__next__
+    nodes: List[_Node] = []
+    inputs = [fresh() for _ in range(term.src)]
+    wires = list(inputs)
     for off, g in to_layers(term):
         if g is CROSS:
             wires[off], wires[off + 1] = wires[off + 1], wires[off]
@@ -440,9 +322,7 @@ def _network_of(term: DiagramTerm) -> List[_Node]:
             wires[off : off + 1] = [w1, w2]
         else:
             raise TypeError(f"unknown generator {g!r}")
-    if wires:
-        raise DiagramArityError("term is not closed")
-    return nodes
+    return nodes, inputs + wires
 
 
 def _contract_pair(a: _Node, b: _Node) -> _Node:
@@ -470,7 +350,10 @@ def _contract_pair(a: _Node, b: _Node) -> _Node:
     return _Node(ports, _prune(out))
 
 
-def _contract_network(nodes: List[_Node], strategy: str) -> Fraction:
+def _contract_network(nodes: List[_Node], boundary: List[int], strategy: str) -> Sparse:
+    """Contract every internal wire; the result is keyed by the values of
+    the boundary wires, in the order given.  A boundary wire that no node
+    touches (a through strand) ranges over all DIM values."""
     nodes = list(nodes)
     while len(nodes) > 1:
         best = None
@@ -488,16 +371,45 @@ def _contract_network(nodes: List[_Node], strategy: str) -> Fraction:
                 if best is None or cost < best[0]:
                     best = (cost, x, y)
         if best is None:
-            # all remaining nodes are disconnected scalars
-            total = ONE
-            for nd in nodes:
-                total *= nd.tensor.get((), ZERO)
-            return total
-        _, x, y = best
+            # disconnected components: outer product of the smallest pair
+            x, y = sorted(range(len(nodes)), key=lambda i: (len(nodes[i].tensor), i))[:2]
+        else:
+            _, x, y = best
         merged = _contract_pair(nodes[x], nodes[y])
         nodes = [nd for i, nd in enumerate(nodes) if i not in (x, y)]
         nodes.append(merged)
-    return nodes[0].tensor.get((), ZERO) if nodes else ONE
+    final = nodes[0] if nodes else _Node([], {(): ONE})
+    through = sorted(set(boundary) - set(final.ports))
+    where = [
+        (0, final.ports.index(w)) if w in final.ports else (1, through.index(w))
+        for w in boundary
+    ]
+    out: Sparse = {}
+    for key, c in final.tensor.items():
+        for vals in product(range(DIM), repeat=len(through)):
+            parts = (key, vals)
+            out[tuple(parts[s][p] for s, p in where)] = c
+    return out
+
+
+def _phi(f, strategy: str) -> Sparse:
+    f = _check_concrete(as_combo(f))
+    out: Sparse = {}
+    for term, coeff in f.terms:
+        nodes, boundary = _network_of(term)
+        for k, v in _contract_network(nodes, boundary, strategy).items():
+            out[k] = out.get(k, ZERO) + coeff * v
+    return _prune(out)
+
+
+def phi_tensor(f) -> Sparse:
+    """The whole map of a concrete combo as one sparse tensor.
+
+    Keys are (inputs..., outputs...): entry (i_1..i_m, j_1..j_n) is the
+    coefficient of b_j1 (x) ... (x) b_jn in the image of b_i1 (x) ... (x)
+    b_im, so slicing at one input gives ``apply_combo_to_basis``.
+    """
+    return _phi(f, "greedy")
 
 
 def phi_closed(f, strategy: str = "greedy") -> Fraction:
@@ -505,10 +417,7 @@ def phi_closed(f, strategy: str = "greedy") -> Fraction:
     f = _check_concrete(as_combo(f))
     if f.src != 0 or f.tgt != 0:
         raise DiagramArityError(f"phi_closed needs a closed diagram, got {f.src}->{f.tgt}")
-    total = ZERO
-    for term, coeff in f.terms:
-        total += coeff * _contract_network(_network_of(term), strategy)
-    return total
+    return _phi(f, strategy).get((), ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -575,37 +484,3 @@ def gram_rank(fs: Sequence) -> int:
             m.data[i][j] = v
             m.data[j][i] = v
     return m.rank()
-
-
-# ---------------------------------------------------------------------------
-# streaming equality of combos
-# ---------------------------------------------------------------------------
-
-
-def combos_equal_streamed(f, g) -> Tuple[bool, int]:
-    """Compare two combos pointwise on every standard basis input.
-
-    Returns (equal, number of basis inputs checked).  Never materializes a
-    dense 26^(m+n) tensor; each basis input's outputs stay sparse.
-    """
-    f, g = _check_concrete(as_combo(f)), _check_concrete(as_combo(g))
-    if (f.src, f.tgt) != (g.src, g.tgt):
-        raise DiagramArityError(
-            f"cannot compare {f.src}->{f.tgt} with {g.src}->{g.tgt}"
-        )
-    n = 0
-    for idx in basis_indices(f.src):
-        n += 1
-        if apply_combo_to_basis(f, idx) != apply_combo_to_basis(g, idx):
-            return False, n
-    return True, n
-
-
-def combo_is_zero_streamed(f) -> Tuple[bool, int]:
-    f = _check_concrete(as_combo(f))
-    n = 0
-    for idx in basis_indices(f.src):
-        n += 1
-        if apply_combo_to_basis(f, idx):
-            return False, n
-    return True, n

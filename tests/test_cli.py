@@ -1,12 +1,11 @@
 """End-to-end CLI behavior through main(argv): output bytes and exit codes."""
 
 import json
+import time
 
 import pytest
 
 from f4diagrams.cli import main
-from f4diagrams.diagram import MERGE, as_combo
-from f4diagrams.functor import ExactTensor, apply_combo_to_basis
 
 pytestmark = pytest.mark.usefixtures("warm_tensors")
 
@@ -45,10 +44,26 @@ def test_eval_closed_trace(capsys):
 
 def test_eval_basis_matches_library(capsys):
     rc, out, _ = run(capsys, "eval", "merge", "--basis", "0,0")
-    assert rc == 0
-    sparse = apply_combo_to_basis(as_combo(MERGE), (0, 0))
-    expect = ExactTensor.from_sparse((26,), sparse).to_lines()
-    assert out == expect + "\n"
+    assert (rc, out) == (0, "(0) -> 1/3\n(1) -> 2/3\n")
+    # rank 0 prints a bare scalar; an empty output prints 0
+    assert run(capsys, "eval", "cap", "--basis", "0,0")[:2] == (0, "2\n")
+    assert run(capsys, "eval", "cap", "--basis", "0,5")[:2] == (0, "0\n")
+    assert run(capsys, "eval", "cup ; merge", "--basis", "")[:2] == (0, "0\n")
+
+
+def test_eval_basis_stays_sparse_on_wide_maps(capsys):
+    start = time.monotonic()
+    rc, out, _ = run(capsys, "eval", "id(6)", "--basis", "0,0,0,0,0,0")
+    assert (rc, out) == (0, "(0,0,0,0,0,0) -> 1\n")
+    assert time.monotonic() - start < 1
+
+
+def test_eval_rejects_huge_symmetrizer(capsys):
+    start = time.monotonic()
+    rc, out, err = run(capsys, "eval", "sym(9)")
+    assert (rc, out) == (2, "")
+    assert "position 0" in err
+    assert time.monotonic() - start < 1
 
 
 def test_eval_rejects_bad_syntax(capsys):

@@ -29,6 +29,10 @@ def _reset_memo():
     dv._RESTRICTED = None
 
 
+def _flat(mats):
+    return [[m.data[r][c] for r in range(27) for c in range(27)] for m in mats]
+
+
 def test_basis_size_and_shape():
     basis = dv.derivation_basis()
     assert len(basis) == dv.DIM_DER == 52
@@ -106,3 +110,20 @@ def test_corrupt_cache_triggers_recompute():
     )
     # fresh solve rewrote the cache
     assert dv._read_cache(path) is not None
+
+
+def test_tampered_cache_is_repaired():
+    basis = dv.derivation_basis()
+    path = dv._cache_path()
+    mats = dv._read_cache(path)
+    mats[0].data[3][5] += 1  # still parses, no longer a derivation
+    dv._write_cache(path, mats)
+    tampered = dv._read_cache(path)
+    assert not dv._certified(_flat(tampered))
+    _reset_memo()
+    recomputed = dv.derivation_basis()
+    assert all(x.matrix.data == y.matrix.data for x, y in zip(basis, recomputed))
+    # the re-solve rewrote the file, so the next load certifies
+    repaired = dv._read_cache(path)
+    assert dv._certified(_flat(repaired))
+    assert not any(name.endswith(".tmp") for name in os.listdir(os.path.dirname(path)))

@@ -4,27 +4,33 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from f4diagrams.albert import alb_trace, bform, build_basis, jordan
 from f4diagrams.diagram import (
+    CAP,
+    CROSS,
     CUP,
     MERGE,
+    SPLIT,
     DiagramArityError,
+    DiagramCombo,
     Id,
     as_combo,
     build_named,
+    compose_chain,
+    mirror,
     parse_diagram,
+    tensor_all,
 )
 from f4diagrams.functor import (
-    ExactTensor,
     apply_combo_to_basis,
     basis_indices,
     closure,
-    combo_is_zero_streamed,
-    combos_equal_streamed,
     generator_tensors,
-    phi_apply,
     phi_closed,
+    phi_tensor,
+    scan_basis,
     set_cache_enabled,
     trace_pairing,
 )
@@ -41,22 +47,30 @@ def test_cap_is_the_trace_form():
         assert gens.cap_val.get((i, j), Fraction(0)) == bform(bas[i], bas[j])
 
 
+def _cup(gens):
+    return {(i, j): c for i, j, c in gens.cup_out}
+
+
+def _merge(gens, k, i, j):
+    """Coefficient of b_k in pi(b_i o b_j)."""
+    return dict(gens.merge_out.get((i, j), ())).get(k, 0)
+
+
 def test_cup_inverts_cap():
     gens = generator_tensors()
-    cap = gens.cap_tensor()
-    cup = gens.cup_tensor()
+    cap, cup = gens.cap_val, _cup(gens)
     for i in range(26):
         for k in range(26):
-            s = sum(cap[i, j] * cup[j, k] for j in range(26))
+            s = sum(cap.get((i, j), 0) * cup.get((j, k), 0) for j in range(26))
             assert s == (1 if i == k else 0)
 
 
 def test_merge_is_symmetric():
-    t = generator_tensors().merge_tensor()
+    gens = generator_tensors()
     rng = random.Random(12)
     for _ in range(60):
         i, j, k = rng.randrange(26), rng.randrange(26), rng.randrange(26)
-        assert t[k, i, j] == t[k, j, i]
+        assert _merge(gens, k, i, j) == _merge(gens, k, j, i)
 
 
 def test_merge_against_raw_product_traces():
@@ -76,20 +90,20 @@ def test_merge_against_raw_product_traces():
 
 def test_split_is_adjoint_to_merge():
     gens = generator_tensors()
-    m, s = gens.merge_tensor(), gens.split_tensor()
-    cap, cup = gens.cap_tensor(), gens.cup_tensor()
+    cap, cup = gens.cap_val, _cup(gens)
     rng = random.Random(14)
     for _ in range(20):
         i, j, k = rng.randrange(26), rng.randrange(26), rng.randrange(26)
         # split = (cup (x) cup) against merge through the pairing
         rhs = sum(
-            cup[i, a] * cup[j, b] * m[c, a, b] * cap[c, k]
+            cup[i, a] * cup[j, b] * mc * cap.get((c, k), 0)
             for a in range(26)
             for b in range(26)
-            for c in range(26)
-            if cup[i, a] and cup[j, b] and m[c, a, b]
+            if (i, a) in cup and (j, b) in cup
+            for c, mc in gens.merge_out.get((a, b), ())
         )
-        assert s[i, j, k] == rhs
+        lhs = sum(sc for x, y, sc in gens.split_out.get(k, ()) if (x, y) == (i, j))
+        assert lhs == rhs
 
 
 def test_closed_bubble_is_the_dimension():
@@ -115,37 +129,15 @@ def test_contraction_strategy_is_irrelevant():
         assert phi_closed(d, strategy="greedy") == phi_closed(d, strategy="serial")
 
 
-def test_phi_apply_inputs():
-    merge = as_combo(MERGE)
-    e = ExactTensor.from_sparse((26, 26), {(0, 1): Fraction(1)})
-    out_t = phi_apply(merge, e)
-    out_d = phi_apply(merge, {(0, 1): Fraction(1)})
-    assert out_t == out_d
-    assert out_t.shape == (26,)
-    with pytest.raises(DiagramArityError):
-        phi_apply(merge, {(0, 1, 2): Fraction(1)})
-    with pytest.raises(TypeError):
-        phi_apply(merge, [1, 2, 3])
-
-
 def test_phi_apply_matches_basis_table():
     gens = generator_tensors()
+    merge = phi_tensor(as_combo(MERGE))
     key = min(gens.merge_out)
-    out = phi_apply(as_combo(MERGE), {key: Fraction(1)})
-    assert out.to_sparse() == {(k,): c for k, c in gens.merge_out[key]}
+    assert {k[2:]: c for k, c in merge.items() if k[:2] == key} == {
+        (k,): c for k, c in gens.merge_out[key]
+    }
     dead = next(p for p in basis_indices(2) if p not in gens.merge_out)
-    assert phi_apply(as_combo(MERGE), {dead: Fraction(1)}).is_zero()
-
-
-def test_exact_tensor_views():
-    t = ExactTensor.from_sparse((2, 3), {(0, 1): Fraction(5, 2), (1, 2): Fraction(-1)})
-    assert t[0, 1] == Fraction(5, 2)
-    assert t[1, 0] == 0
-    assert t.to_lines() == "(0,1) -> 5/2\n(1,2) -> -1"
-    assert not t.is_zero()
-    scalar = ExactTensor((), [Fraction(7)])
-    assert scalar.to_lines() == "7"
-    assert t == ExactTensor.from_sparse((2, 3), t.to_sparse())
+    assert not any(k[:2] == dead for k in merge)
 
 
 def test_basis_indices_shapes():
@@ -156,14 +148,12 @@ def test_basis_indices_shapes():
 def test_streamed_equality():
     sym = parse_diagram("sym(2)")
     asym = parse_diagram("asym(2)")
-    eq, n = combos_equal_streamed(sym + asym, as_combo(Id(2)))
-    assert eq and n == 676
-    zero, n = combo_is_zero_streamed(sym.then(asym))
-    assert zero and n == 676
-    ne, _ = combos_equal_streamed(as_combo(MERGE), 2 * as_combo(MERGE))
-    assert not ne
+    assert scan_basis(sym + asym - as_combo(Id(2))) == (676, 0)
+    assert scan_basis(sym.then(asym)) == (676, 0)
+    n, worst = scan_basis(as_combo(MERGE) - 2 * as_combo(MERGE))
+    assert n == 676 and worst > 0
     with pytest.raises(DiagramArityError):
-        combos_equal_streamed(as_combo(MERGE), as_combo(CUP))
+        scan_basis(as_combo(MERGE) - as_combo(CUP))
 
 
 def test_cache_toggle_is_invisible():
@@ -179,3 +169,75 @@ def test_cache_toggle_is_invisible():
 def test_closure_rejects_rectangular():
     with pytest.raises(DiagramArityError):
         closure(as_combo(MERGE))
+
+
+def _agrees_with_streaming(f):
+    """phi_tensor sliced at each basis input equals the streamed output."""
+    f = as_combo(f)
+    rows = {}
+    for key, c in phi_tensor(f).items():
+        rows.setdefault(key[: f.src], {})[key[f.src :]] = c
+    for idx in basis_indices(f.src):
+        assert rows.get(idx, {}) == apply_combo_to_basis(f, idx), idx
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "merge",
+        "split",
+        "cup",
+        "cap",
+        "cross",
+        "id(2)",  # through strands: boundary wires no node touches
+        "named(H)",
+        "cap @ cup",  # disconnected components
+        "merge @ cup",
+        "named(e1)",
+    ],
+)
+def test_phi_tensor_matches_streaming(expr):
+    f = parse_diagram(expr)
+    _agrees_with_streaming(f.specialize(Fraction(7, 3), 26) if f.is_symbolic() else f)
+
+
+def test_phi_tensor_of_a_closed_combo_is_its_scalar():
+    f = closure(parse_diagram("split ; merge"))
+    assert phi_tensor(f) == {(): phi_closed(f)} == {(): Fraction(182, 3)}
+    assert phi_tensor(parse_diagram("cup ; merge")) == {}
+
+
+_GENERATORS = (MERGE, SPLIT, CUP, CAP, CROSS)
+
+
+@st.composite
+def _terms(draw, src):
+    """A random term on `src` strands: up to four generators, width <= 3."""
+    width, stages = src, []
+    for _ in range(draw(st.integers(0, 4))):
+        fits = [g for g in _GENERATORS if g.src <= width and width - g.src + g.tgt <= 3]
+        g = draw(st.sampled_from(fits))
+        off = draw(st.integers(0, width - g.src))
+        stages.append(tensor_all(Id(off), g, Id(width - off - g.src)))
+        width += g.tgt - g.src
+    return compose_chain(*stages) if stages else Id(src)
+
+
+@st.composite
+def _combos(draw):
+    src = draw(st.integers(0, 2))
+    first = draw(_terms(src))
+    items = [(first, Fraction(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 4))))]
+    second = draw(_terms(src))
+    if second.tgt == first.tgt and second != first:
+        items.append((second, Fraction(draw(st.integers(-3, 3)))))
+    return DiagramCombo(src, first.tgt, items)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_combos())
+def test_network_contraction_properties(f):
+    _agrees_with_streaming(f)
+    square = f if f.src == f.tgt else f.then(mirror(f))
+    closed = closure(square)
+    assert phi_closed(closed, strategy="greedy") == phi_closed(closed, strategy="serial")
