@@ -22,6 +22,11 @@ V = ker(tr) is 26-dimensional; its fixed rational basis is
 An orthonormal basis would need sqrt(2) and sqrt(6); staying rational and
 inverting the Gram matrix for the dual basis keeps every downstream tensor
 in Q.
+
+Diagonal entries are always Fractions.  ``AlbertElement(diag, off)``
+coerces and validates its arguments; the linear structure, the product
+and the projection build their results through ``AlbertElement._exact``,
+which takes a tuple of 3 Fractions and a tuple of 3 Octonions as they are.
 """
 
 from __future__ import annotations
@@ -52,6 +57,14 @@ class AlbertElement:
         if len(self.diag) != 3 or len(self.off) != 3:
             raise ValueError("need 3 diagonal entries and 3 octonions")
 
+    @classmethod
+    def _exact(cls, diag: Tuple[Fraction, ...], off: Tuple[Octonion, ...]) -> "AlbertElement":
+        """Wrap 3 Fractions and 3 Octonions without coercing or checking them."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "diag", diag)
+        object.__setattr__(x, "off", off)
+        return x
+
     def __setattr__(self, *a):
         raise AttributeError("AlbertElement is immutable")
 
@@ -81,23 +94,25 @@ class AlbertElement:
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other: "AlbertElement") -> "AlbertElement":
-        return AlbertElement(
-            [a + b for a, b in zip(self.diag, other.diag)],
-            [a + b for a, b in zip(self.off, other.off)],
+        return AlbertElement._exact(
+            tuple(a + b for a, b in zip(self.diag, other.diag)),
+            tuple(a + b for a, b in zip(self.off, other.off)),
         )
 
     def __sub__(self, other: "AlbertElement") -> "AlbertElement":
-        return AlbertElement(
-            [a - b for a, b in zip(self.diag, other.diag)],
-            [a - b for a, b in zip(self.off, other.off)],
+        return AlbertElement._exact(
+            tuple(a - b for a, b in zip(self.diag, other.diag)),
+            tuple(a - b for a, b in zip(self.off, other.off)),
         )
 
     def __neg__(self) -> "AlbertElement":
-        return AlbertElement([-a for a in self.diag], [-a for a in self.off])
+        return AlbertElement._exact(tuple(-a for a in self.diag), tuple(-a for a in self.off))
 
     def scale(self, c) -> "AlbertElement":
         c = Fraction(c)
-        return AlbertElement([a * c for a in self.diag], [a.scale(c) for a in self.off])
+        return AlbertElement._exact(
+            tuple(a * c for a in self.diag), tuple(a.scale(c) for a in self.off)
+        )
 
     def __eq__(self, other):
         return (
@@ -131,7 +146,7 @@ class AlbertElement:
         for i, j in ((0, 1), (0, 2), (1, 2)):
             if m[i][j] != m[j][i].conj():
                 raise ValueError("matrix is not self-adjoint")
-        return cls(
+        return cls._exact(
             (m[0][0].coords[0], m[1][1].coords[0], m[2][2].coords[0]),
             (m[1][2], m[2][0], m[0][1]),
         )

@@ -18,7 +18,12 @@ in a greedy smallest-intermediate order (``phi_tensor``; ``phi_closed`` is
 the case with no ports).  A creation-order strategy exists solely so
 tests can confirm the result is order-independent.
 
-All states and results are sparse dictionaries {index-tuple: Fraction}.
+States are sparse dictionaries keyed by index tuples.  Inside the module
+the values are Python ints over one scale per term: each generator table is
+stored scaled by the least common denominator of its entries, and a term's
+scale is the product of its layers' (or nodes') scales, so the hot loops
+multiply and add ints only.  Every public return divides the scale back
+out and is a {index-tuple: Fraction} dictionary (or a Fraction scalar).
 Everything is exact -- the whole module contains no floats.
 """
 
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .albert import build_basis, coords_V, jordan, project_v
@@ -48,10 +54,16 @@ from .diagram import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 DIM = 26
 
 Sparse = Dict[Tuple[int, ...], Fraction]
+IntSparse = Dict[Tuple[int, ...], int]
+
+#: largest number of entries ``phi_tensor`` builds when it expands boundary
+#: wires that no node touches (through strands) over all DIM values; a
+#: request above it raises ValueError instead of exhausting memory.
+#: DIM**4 = 456,976 entries (``phi_tensor(Id(4))``) take seconds and ~150 MB.
+MAX_PHI_ENTRIES = DIM**4
 
 
 # ---------------------------------------------------------------------------
@@ -59,16 +71,33 @@ Sparse = Dict[Tuple[int, ...], Fraction]
 # ---------------------------------------------------------------------------
 
 
+def _lcd(values: Iterable[Fraction]) -> int:
+    """Least common denominator of exact rationals."""
+    return lcm(*{v.denominator for v in values})
+
+
+def _over(c: Fraction, scale: int) -> int:
+    """The integer c * scale; scale must be a multiple of c's denominator."""
+    return c.numerator * (scale // c.denominator)
+
+
 class GeneratorTensors:
     """Sparse action tables for the five generators.
+
+    Public tables, with exact Fraction entries:
 
     merge_out[(i,j)]  -> ((k, c), ...):            pi(b_i o b_j) = sum c b_k
     split_out[k]      -> ((i, j, c), ...):         split(b_k) = sum c b_i (x) b_j
     cup_out           -> ((i, j, c), ...):         inverse Gram entries
     cap_val[(i,j)]    -> tr(b_i o b_j):            Gram entries
+
+    ``kernels[g]`` is ``(scale, table)``: the same table for generator g
+    with every entry multiplied by ``scale``, the least common denominator
+    of its entries, so the entries are ints (``table`` is None for cross,
+    whose scale is 1).  The evaluator and the contractor read only these.
     """
 
-    __slots__ = ("merge_out", "split_out", "cup_out", "cap_val", "basisdata")
+    __slots__ = ("merge_out", "split_out", "cup_out", "cap_val", "basisdata", "kernels")
 
     def __init__(self):
         bd = build_basis()
@@ -106,11 +135,28 @@ class GeneratorTensors:
             if gram.data[i][j]
         }
 
+        ms = _lcd(c for hits in merge_out.values() for _, c in hits)
+        ss = _lcd(c for hits in split_out.values() for _, _, c in hits)
+        us = _lcd(c for _, _, c in cup_out)
+        cs = _lcd(cap_val.values())
+        kernels = {
+            MERGE: (ms, {
+                ij: tuple((k, _over(c, ms)) for k, c in hits) for ij, hits in merge_out.items()
+            }),
+            SPLIT: (ss, {
+                k: tuple((i, j, _over(c, ss)) for i, j, c in hits) for k, hits in split_out.items()
+            }),
+            CUP: (us, tuple((i, j, _over(c, us)) for i, j, c in cup_out)),
+            CAP: (cs, {ij: _over(c, cs) for ij, c in cap_val.items()}),
+            CROSS: (1, None),
+        }
+
         object.__setattr__(self, "merge_out", merge_out)
         object.__setattr__(self, "split_out", split_out)
         object.__setattr__(self, "cup_out", cup_out)
         object.__setattr__(self, "cap_val", cap_val)
         object.__setattr__(self, "basisdata", bd)
+        object.__setattr__(self, "kernels", kernels)
 
     def __setattr__(self, *a):
         raise AttributeError("GeneratorTensors is immutable")
@@ -143,18 +189,19 @@ def set_cache_enabled(flag: bool) -> None:
         _TERM_BASIS_CACHE.clear()
 
 
-def _prune(d: Sparse) -> Sparse:
+def _prune(d: dict) -> dict:
     return {k: v for k, v in d.items() if v}
 
 
-def _apply_gen(state: Sparse, off: int, g: Gen, gens: GeneratorTensors) -> Sparse:
-    out: Sparse = {}
+def _apply_gen(state: IntSparse, off: int, g: Gen, table) -> IntSparse:
+    """One generator at strand offset ``off``, on ints: ``table`` is the
+    generator's scaled integer table, so the output is scaled by its scale."""
+    out: IntSparse = {}
     if g is CROSS:
         for idx, c in state.items():
             out[idx[:off] + (idx[off + 1], idx[off]) + idx[off + 2 :]] = c
         return out
     if g is MERGE:
-        table = gens.merge_out
         for idx, c in state.items():
             hits = table.get((idx[off], idx[off + 1]))
             if not hits:
@@ -162,10 +209,9 @@ def _apply_gen(state: Sparse, off: int, g: Gen, gens: GeneratorTensors) -> Spars
             head, tail = idx[:off], idx[off + 2 :]
             for k, mc in hits:
                 key = head + (k,) + tail
-                out[key] = out.get(key, ZERO) + c * mc
+                out[key] = out.get(key, 0) + c * mc
         return _prune(out)
     if g is SPLIT:
-        table = gens.split_out
         for idx, c in state.items():
             hits = table.get(idx[off])
             if not hits:
@@ -173,36 +219,61 @@ def _apply_gen(state: Sparse, off: int, g: Gen, gens: GeneratorTensors) -> Spars
             head, tail = idx[:off], idx[off + 1 :]
             for i, j, sc in hits:
                 key = head + (i, j) + tail
-                out[key] = out.get(key, ZERO) + c * sc
+                out[key] = out.get(key, 0) + c * sc
         return _prune(out)
     if g is CUP:
-        pairs = gens.cup_out
         for idx, c in state.items():
             head, tail = idx[:off], idx[off:]
-            for i, j, cc in pairs:
+            for i, j, cc in table:
                 key = head + (i, j) + tail
-                out[key] = out.get(key, ZERO) + c * cc
+                out[key] = out.get(key, 0) + c * cc
         return _prune(out)
     if g is CAP:
-        table = gens.cap_val
         for idx, c in state.items():
             v = table.get((idx[off], idx[off + 1]))
             if not v:
                 continue
             key = idx[:off] + idx[off + 2 :]
-            out[key] = out.get(key, ZERO) + c * v
+            out[key] = out.get(key, 0) + c * v
         return _prune(out)
     raise TypeError(f"unknown generator {g!r}")
 
 
-def apply_term_sparse(term: DiagramTerm, state: Sparse) -> Sparse:
-    """Push a sparse state (over term.src strands) through every layer."""
-    gens = generator_tensors()
-    for off, g in to_layers(term):
-        state = _apply_gen(state, off, g, gens)
+Program = Tuple[int, Tuple[Tuple[int, Gen, object], ...]]
+_PROGRAMS: Dict[DiagramTerm, Program] = {}
+
+
+def _program(term: DiagramTerm) -> Program:
+    """The term's layers with their integer tables, and the term's scale
+    (the product of its layers' scales); flattened once per term."""
+    prog = _PROGRAMS.get(term)
+    if prog is None:
+        kernels = generator_tensors().kernels
+        scale, steps = 1, []
+        for off, g in to_layers(term):
+            s, table = kernels[g]
+            scale *= s
+            steps.append((off, g, table))
+        prog = _PROGRAMS[term] = (scale, tuple(steps))
+    return prog
+
+
+def _run(term: DiagramTerm, state: IntSparse, den: int) -> Sparse:
+    """Push an integer state over the common denominator ``den`` through
+    every layer; the result is back in Fractions."""
+    scale, steps = _program(term)
+    for off, g, table in steps:
+        state = _apply_gen(state, off, g, table)
         if not state:
             break
-    return state
+    scale *= den
+    return {k: Fraction(n, scale) for k, n in state.items()}
+
+
+def apply_term_sparse(term: DiagramTerm, state: Sparse) -> Sparse:
+    """Push a sparse state (over term.src strands) through every layer."""
+    den = lcm(*(v.denominator for v in state.values()))
+    return _run(term, {k: _over(v, den) for k, v in state.items()}, den)
 
 
 def apply_term_to_basis(term: DiagramTerm, idx: Tuple[int, ...]) -> Sparse:
@@ -211,10 +282,10 @@ def apply_term_to_basis(term: DiagramTerm, idx: Tuple[int, ...]) -> Sparse:
         key = (term, idx)
         hit = _TERM_BASIS_CACHE.get(key)
         if hit is None:
-            hit = apply_term_sparse(term, {idx: ONE})
+            hit = _run(term, {idx: 1}, 1)
             _TERM_BASIS_CACHE[key] = hit
         return hit
-    return apply_term_sparse(term, {idx: ONE})
+    return _run(term, {idx: 1}, 1)
 
 
 def _check_concrete(f: DiagramCombo) -> DiagramCombo:
@@ -230,11 +301,15 @@ def apply_combo_to_basis(f, idx: Tuple[int, ...]) -> Sparse:
     f = _check_concrete(as_combo(f))
     if len(idx) != f.src:
         raise DiagramArityError(f"combo consumes {f.src} strands, input has {len(idx)}")
-    out: Sparse = {}
+    # A term's values have denominators dividing its scale, so over den
+    # every coeff * value is an int and the sum runs on ints.
+    den = lcm(*(coeff.denominator * _program(term)[0] for term, coeff in f.terms))
+    acc: IntSparse = {}
     for term, coeff in f.terms:
+        m = _over(coeff, den)
         for k, v in apply_term_to_basis(term, idx).items():
-            out[k] = out.get(k, ZERO) + coeff * v
-    return _prune(out)
+            acc[k] = acc.get(k, 0) + m * v.numerator // v.denominator
+    return {k: Fraction(n, den) for k, n in acc.items() if n}
 
 
 def basis_indices(m: int) -> Iterable[Tuple[int, ...]]:
@@ -265,64 +340,71 @@ def scan_basis(f) -> Tuple[int, int]:
 class _Node:
     __slots__ = ("ports", "tensor")
 
-    def __init__(self, ports: List[int], tensor: Dict[Tuple[int, ...], Fraction]):
+    def __init__(self, ports: List[int], tensor: IntSparse):
         self.ports = ports  # wire ids, one per tensor index position
         self.tensor = tensor
 
 
-_NODE_TENSORS: Optional[Tuple[dict, dict, dict, dict]] = None
+NodeTensor = Tuple[int, IntSparse]  # (scale, integer tensor)
+_NODE_TENSORS: Optional[Tuple[NodeTensor, NodeTensor, NodeTensor, NodeTensor]] = None
 
 
-def _node_tensors() -> Tuple[dict, dict, dict, dict]:
+def _node_tensors() -> Tuple[NodeTensor, NodeTensor, NodeTensor, NodeTensor]:
+    """(scale, integer tensor) for merge, split, cup and cap, keyed by the
+    node's ports in order (inputs, then outputs)."""
     global _NODE_TENSORS
     if _NODE_TENSORS is None:
-        gens = generator_tensors()
-        merge_nd = {}
-        for (i, j), hits in gens.merge_out.items():
-            for k, c in hits:
-                merge_nd[(i, j, k)] = c
-        split_nd = {}
-        for k, hits in gens.split_out.items():
-            for i, j, c in hits:
-                split_nd[(k, i, j)] = c
-        cup_nd = {(i, j): c for i, j, c in gens.cup_out}
-        cap_nd = dict(gens.cap_val)
-        _NODE_TENSORS = (merge_nd, split_nd, cup_nd, cap_nd)
+        kernels = generator_tensors().kernels
+        ms, merge = kernels[MERGE]
+        ss, split = kernels[SPLIT]
+        us, cup = kernels[CUP]
+        cs, cap = kernels[CAP]
+        _NODE_TENSORS = (
+            (ms, {(i, j, k): c for (i, j), hits in merge.items() for k, c in hits}),
+            (ss, {(k, i, j): c for k, hits in split.items() for i, j, c in hits}),
+            (us, {(i, j): c for i, j, c in cup}),
+            (cs, dict(cap)),
+        )
     return _NODE_TENSORS
 
 
-def _network_of(term: DiagramTerm) -> Tuple[List[_Node], List[int]]:
+def _network_of(term: DiagramTerm) -> Tuple[List[_Node], List[int], int]:
     """Turn a term into generator nodes joined by wires; crossings become
-    wire permutations, identities disappear.  Returns the nodes and the
-    boundary wires: the term.src inputs, then the term.tgt outputs (a
-    through strand is both, so its wire appears twice)."""
+    wire permutations, identities disappear.  Returns the nodes, the
+    boundary wires -- the term.src inputs, then the term.tgt outputs (a
+    through strand is both, so its wire appears twice) -- and the term's
+    scale, the product of its nodes' scales."""
     merge_nd, split_nd, cup_nd, cap_nd = _node_tensors()
 
     fresh = iter(range(10**9)).__next__
     nodes: List[_Node] = []
+    scale = 1
     inputs = [fresh() for _ in range(term.src)]
     wires = list(inputs)
     for off, g in to_layers(term):
         if g is CROSS:
             wires[off], wires[off + 1] = wires[off + 1], wires[off]
-        elif g is CUP:
+            continue
+        if g is CUP:
             w1, w2 = fresh(), fresh()
-            nodes.append(_Node([w1, w2], cup_nd))
+            nd, ports = cup_nd, [w1, w2]
             wires[off:off] = [w1, w2]
         elif g is CAP:
-            nodes.append(_Node([wires[off], wires[off + 1]], cap_nd))
+            nd, ports = cap_nd, [wires[off], wires[off + 1]]
             del wires[off : off + 2]
         elif g is MERGE:
             w = fresh()
-            nodes.append(_Node([wires[off], wires[off + 1], w], merge_nd))
+            nd, ports = merge_nd, [wires[off], wires[off + 1], w]
             wires[off : off + 2] = [w]
         elif g is SPLIT:
             w1, w2 = fresh(), fresh()
-            nodes.append(_Node([wires[off], w1, w2], split_nd))
+            nd, ports = split_nd, [wires[off], w1, w2]
             wires[off : off + 1] = [w1, w2]
         else:
             raise TypeError(f"unknown generator {g!r}")
-    return nodes, inputs + wires
+        scale *= nd[0]
+        nodes.append(_Node(ports, nd[1]))
+    return nodes, inputs + wires, scale
 
 
 def _contract_pair(a: _Node, b: _Node) -> _Node:
@@ -332,12 +414,12 @@ def _contract_pair(a: _Node, b: _Node) -> _Node:
     a_keep = [p for p in range(len(a.ports)) if p not in a_pos]
     b_keep = [p for p in range(len(b.ports)) if p not in b_pos]
 
-    buckets: Dict[Tuple[int, ...], List[Tuple[Tuple[int, ...], Fraction]]] = {}
+    buckets: Dict[Tuple[int, ...], List[Tuple[Tuple[int, ...], int]]] = {}
     for key, c in b.tensor.items():
         bk = tuple(key[p] for p in b_pos)
         buckets.setdefault(bk, []).append((tuple(key[p] for p in b_keep), c))
 
-    out: Dict[Tuple[int, ...], Fraction] = {}
+    out: IntSparse = {}
     for key, c in a.tensor.items():
         hit = buckets.get(tuple(key[p] for p in a_pos))
         if not hit:
@@ -345,15 +427,16 @@ def _contract_pair(a: _Node, b: _Node) -> _Node:
         head = tuple(key[p] for p in a_keep)
         for tail, bc in hit:
             k = head + tail
-            out[k] = out.get(k, ZERO) + c * bc
+            out[k] = out.get(k, 0) + c * bc
     ports = [a.ports[p] for p in a_keep] + [b.ports[p] for p in b_keep]
     return _Node(ports, _prune(out))
 
 
-def _contract_network(nodes: List[_Node], boundary: List[int], strategy: str) -> Sparse:
+def _contract_network(nodes: List[_Node], boundary: List[int], strategy: str) -> IntSparse:
     """Contract every internal wire; the result is keyed by the values of
     the boundary wires, in the order given.  A boundary wire that no node
-    touches (a through strand) ranges over all DIM values."""
+    touches (a through strand) ranges over all DIM values; a result that
+    would exceed MAX_PHI_ENTRIES entries raises ValueError instead."""
     nodes = list(nodes)
     while len(nodes) > 1:
         best = None
@@ -378,13 +461,19 @@ def _contract_network(nodes: List[_Node], boundary: List[int], strategy: str) ->
         merged = _contract_pair(nodes[x], nodes[y])
         nodes = [nd for i, nd in enumerate(nodes) if i not in (x, y)]
         nodes.append(merged)
-    final = nodes[0] if nodes else _Node([], {(): ONE})
+    final = nodes[0] if nodes else _Node([], {(): 1})
     through = sorted(set(boundary) - set(final.ports))
+    entries = len(final.tensor) * DIM ** len(through)
+    if entries > MAX_PHI_ENTRIES:
+        raise ValueError(
+            f"tensor would have {entries} entries ({len(through)} through strands), "
+            f"above the limit of {MAX_PHI_ENTRIES}"
+        )
     where = [
         (0, final.ports.index(w)) if w in final.ports else (1, through.index(w))
         for w in boundary
     ]
-    out: Sparse = {}
+    out: IntSparse = {}
     for key, c in final.tensor.items():
         for vals in product(range(DIM), repeat=len(through)):
             parts = (key, vals)
@@ -396,9 +485,10 @@ def _phi(f, strategy: str) -> Sparse:
     f = _check_concrete(as_combo(f))
     out: Sparse = {}
     for term, coeff in f.terms:
-        nodes, boundary = _network_of(term)
+        nodes, boundary, scale = _network_of(term)
+        c = Fraction(coeff, scale)
         for k, v in _contract_network(nodes, boundary, strategy).items():
-            out[k] = out.get(k, ZERO) + coeff * v
+            out[k] = out.get(k, ZERO) + c * v
     return _prune(out)
 
 
@@ -407,7 +497,9 @@ def phi_tensor(f) -> Sparse:
 
     Keys are (inputs..., outputs...): entry (i_1..i_m, j_1..j_n) is the
     coefficient of b_j1 (x) ... (x) b_jn in the image of b_i1 (x) ... (x)
-    b_im, so slicing at one input gives ``apply_combo_to_basis``.
+    b_im, so slicing at one input gives ``apply_combo_to_basis``.  Raises
+    ValueError when expanding through strands would give more than
+    MAX_PHI_ENTRIES entries.
     """
     return _phi(f, "greedy")
 

@@ -8,11 +8,19 @@ convention with oriented lines
 i.e. e_i * e_{i+1} = e_{i+3} with indices cyclic in 1..7, each imaginary
 unit squaring to -1.  Any valid table gives an isomorphic algebra; fixing
 this one makes every downstream structure constant deterministic.
+
+Coordinates are always Fractions.  The public constructor coerces and
+validates what it is given; the arithmetic builds its results through
+``Octonion._exact``, which takes a tuple of 8 Fractions as it is, since
+sums and products of Fractions are already exact.  The product runs on
+ints: each factor's coordinates are scaled by their common denominator,
+and the 8 result coordinates become Fractions once, at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import List, Sequence, Tuple
 
 ZERO = Fraction(0)
@@ -54,6 +62,13 @@ class Octonion:
             raise ValueError("octonion needs 8 coordinates")
         object.__setattr__(self, "coords", coords)
 
+    @classmethod
+    def _exact(cls, coords: Tuple[Fraction, ...]) -> "Octonion":
+        """Wrap a tuple of 8 Fractions without coercing or checking it."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "coords", coords)
+        return x
+
     def __setattr__(self, *a):
         raise AttributeError("Octonion is immutable")
 
@@ -63,44 +78,51 @@ class Octonion:
     def unit(cls, i: int) -> "Octonion":
         c = [ZERO] * 8
         c[i] = ONE
-        return cls(c)
+        return cls._exact(tuple(c))
 
     @classmethod
     def scalar(cls, c) -> "Octonion":
-        v = [ZERO] * 8
-        v[0] = Fraction(c)
-        return cls(v)
+        return cls._exact((Fraction(c),) + (ZERO,) * 7)
 
     @classmethod
     def zero(cls) -> "Octonion":
-        return cls()
+        return cls._exact((ZERO,) * 8)
 
     # -- ring structure ------------------------------------------------------
 
     def __add__(self, other: "Octonion") -> "Octonion":
-        return Octonion([a + b for a, b in zip(self.coords, other.coords)])
+        # Most coordinates in the fixed bases are 0; skip those additions.
+        return Octonion._exact(
+            tuple(a + b if a and b else a or b for a, b in zip(self.coords, other.coords))
+        )
 
     def __sub__(self, other: "Octonion") -> "Octonion":
-        return Octonion([a - b for a, b in zip(self.coords, other.coords)])
+        return Octonion._exact(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "Octonion":
-        return Octonion([-a for a in self.coords])
+        return Octonion._exact(tuple(-a for a in self.coords))
 
     def scale(self, c) -> "Octonion":
         c = Fraction(c)
-        return Octonion([a * c for a in self.coords])
+        return Octonion._exact(tuple(a * c for a in self.coords))
 
     def __mul__(self, other: "Octonion") -> "Octonion":
-        out = [ZERO] * 8
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            for j, b in enumerate(other.coords):
-                if not b:
-                    continue
-                k, s = MULT_TABLE[i][j]
-                out[k] += a * b if s > 0 else -(a * b)
-        return Octonion(out)
+        xs = [(i, a) for i, a in enumerate(self.coords) if a]
+        ys = [(j, b) for j, b in enumerate(other.coords) if b]
+        if not xs or not ys:
+            return Octonion.zero()
+        da = lcm(*[a.denominator for _, a in xs])
+        db = lcm(*[b.denominator for _, b in ys])
+        ys = [(j, b.numerator * (db // b.denominator)) for j, b in ys]
+        out = [0] * 8
+        for i, a in xs:
+            a = a.numerator * (da // a.denominator)
+            row = MULT_TABLE[i]
+            for j, b in ys:
+                k, s = row[j]
+                out[k] += s * a * b
+        d = da * db
+        return Octonion._exact(tuple(Fraction(n, d) if n else ZERO for n in out))
 
     def __eq__(self, other):
         return isinstance(other, Octonion) and self.coords == other.coords
@@ -115,7 +137,7 @@ class Octonion:
 
     def conj(self) -> "Octonion":
         c = self.coords
-        return Octonion((c[0],) + tuple(-x for x in c[1:]))
+        return Octonion._exact((c[0],) + tuple(-x for x in c[1:]))
 
     def real_part(self) -> Fraction:
         return self.coords[0]

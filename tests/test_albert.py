@@ -39,6 +39,46 @@ def _random_traceless(rng) -> AlbertElement:
     return project_v(_random_albert(rng))
 
 
+_DENOMS = (1, 2, 3, 5, 7, 12)
+
+
+def _mixed_albert(rng) -> AlbertElement:
+    """Entries with denominators coprime to each other and to 12."""
+    def q():
+        return Fraction(rng.randint(-9, 9), rng.choice(_DENOMS))
+
+    offs = [Octonion([q() for _ in range(8)]) for _ in range(3)]
+    return AlbertElement([q() for _ in range(3)], offs)
+
+
+def test_products_stay_exact():
+    # Results are built without re-coercion; each must hold Fractions only
+    # and equal the element the coercing constructor builds from the same
+    # entries (jordan) or from independently computed ones (the rest).
+    rng = random.Random(22)
+    for _ in range(20):
+        a, b = _mixed_albert(rng), _mixed_albert(rng)
+        k = rng.randint(-5, 5)
+        c = Fraction(rng.randint(-5, 5), rng.choice(_DENOMS))
+        t = alb_trace(a)
+        ab = jordan(a, b)
+        cases = [
+            (a + b, [u + v for u, v in zip(a.diag, b.diag)], [u + v for u, v in zip(a.off, b.off)]),
+            (a - b, [u - v for u, v in zip(a.diag, b.diag)], [u - v for u, v in zip(a.off, b.off)]),
+            (-a, [-u for u in a.diag], [-u for u in a.off]),
+            (a.scale(k), [u * k for u in a.diag], [u.scale(k) for u in a.off]),
+            (a.scale(c), [u * c for u in a.diag], [u.scale(c) for u in a.off]),
+            (project_v(a), [u - t / 3 for u in a.diag], a.off),
+            (ab, ab.diag, ab.off),
+        ]
+        for got, diag, off in cases:
+            assert all(type(x) is Fraction for x in got.diag), got
+            assert all(type(x) is Fraction for o in got.off for x in o.coords), got
+            want = AlbertElement(diag, [Octonion(list(o.coords)) for o in off])
+            assert got == want and hash(got) == hash(want)
+        assert ab == jordan(b, a)
+
+
 def test_unit_and_commutativity():
     rng = random.Random(99)
     one = AlbertElement.unit()

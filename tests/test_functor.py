@@ -1,7 +1,9 @@
 """Evaluation of diagrams as exact multilinear maps on the 26-dim module."""
 
 import random
+import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -22,9 +24,12 @@ from f4diagrams.diagram import (
     mirror,
     parse_diagram,
     tensor_all,
+    to_layers,
 )
 from f4diagrams.functor import (
+    MAX_PHI_ENTRIES,
     apply_combo_to_basis,
+    apply_term_sparse,
     basis_indices,
     closure,
     generator_tensors,
@@ -241,3 +246,96 @@ def test_network_contraction_properties(f):
     square = f if f.src == f.tgt else f.then(mirror(f))
     closed = closure(square)
     assert phi_closed(closed, strategy="greedy") == phi_closed(closed, strategy="serial")
+
+
+def test_phi_tensor_refuses_huge_through_expansions():
+    # id(5) is five untouched through strands: 26**5 entries, over the limit.
+    # (id(2), under it, is one of the streaming-agreement cases above.)
+    assert MAX_PHI_ENTRIES == 26**4
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=str(26**5)):
+        phi_tensor(as_combo(Id(5)))
+    assert time.perf_counter() - t0 < 1
+
+
+# ---------------------------------------------------------------------------
+# integer kernels against an independent Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def test_integer_tables_are_the_scaled_fraction_tables():
+    gens = generator_tensors()
+    cup = _cup(gens)
+    fraction_tables = {
+        MERGE: {(i, j, k): c for (i, j), hits in gens.merge_out.items() for k, c in hits},
+        SPLIT: {(k, i, j): c for k, hits in gens.split_out.items() for i, j, c in hits},
+        CUP: cup,
+        CAP: gens.cap_val,
+    }
+    scale_m, merge = gens.kernels[MERGE]
+    scale_s, split = gens.kernels[SPLIT]
+    scale_u, cup_int = gens.kernels[CUP]
+    scale_c, cap = gens.kernels[CAP]
+    int_tables = {
+        MERGE: (scale_m, {(i, j, k): n for (i, j), hits in merge.items() for k, n in hits}),
+        SPLIT: (scale_s, {(k, i, j): n for k, hits in split.items() for i, j, n in hits}),
+        CUP: (scale_u, {(i, j): n for i, j, n in cup_int}),
+        CAP: (scale_c, cap),
+    }
+    for g, exact in fraction_tables.items():
+        scale, table = int_tables[g]
+        assert scale == lcm(*(c.denominator for c in exact.values())), g
+        assert all(type(n) is int for n in table.values()), g
+        assert {k: Fraction(n, scale) for k, n in table.items()} == exact, g
+    assert gens.kernels[CROSS] == (1, None)
+
+
+def _reference_term(term, state):
+    """Push a Fraction state through the term's layers, straight from the
+    public Fraction tables: the kernel the integer evaluator must match."""
+    gens = generator_tensors()
+    cup = _cup(gens)
+    for off, g in to_layers(term):
+        out = {}
+        for idx, c in state.items():
+            head = idx[:off]
+            if g is CROSS:
+                images, tail = [((idx[off + 1], idx[off]), 1)], idx[off + 2 :]
+            elif g is MERGE:
+                images = [((k,), v) for k, v in gens.merge_out.get(idx[off : off + 2], ())]
+                tail = idx[off + 2 :]
+            elif g is SPLIT:
+                images = [((i, j), v) for i, j, v in gens.split_out.get(idx[off], ())]
+                tail = idx[off + 1 :]
+            elif g is CUP:
+                images, tail = list(cup.items()), idx[off:]
+            else:
+                images = [((), gens.cap_val.get(idx[off : off + 2], Fraction(0)))]
+                tail = idx[off + 2 :]
+            for mid, v in images:
+                key = head + mid + tail
+                out[key] = out.get(key, Fraction(0)) + c * v
+        state = {k: v for k, v in out.items() if v}
+    return state
+
+
+_VALUES = st.builds(
+    Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, 5, 7, 11, 12, 35])
+)
+
+
+@st.composite
+def _term_and_state(draw):
+    term = draw(_terms(draw(st.integers(0, 3))))
+    keys = st.tuples(*[st.integers(0, 25)] * term.src)
+    state = draw(st.dictionaries(keys, _VALUES, min_size=1, max_size=4))
+    return term, state
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_term_and_state())
+def test_integer_kernel_matches_fraction_reference(case):
+    term, state = case
+    got = apply_term_sparse(term, state)
+    assert got == _reference_term(term, state)
+    assert all(type(v) is Fraction for v in got.values())
