@@ -205,7 +205,7 @@ def _cmd_verify(args) -> int:
                 "expected_holds": rep["expected_holds"],
                 "basis_checked": rep["basis_checked"],
             }
-    for s in suite_requests:
+    for s in dict.fromkeys(suite_requests):
         slines, ok, rep = _suite_lines(s)
         all_ok = all_ok and ok
         lines.extend(slines)

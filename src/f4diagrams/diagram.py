@@ -233,7 +233,7 @@ def compose_chain(*stages: DiagramTerm) -> DiagramTerm:
 
 
 # ---------------------------------------------------------------------------
-# layer view (used by the functor's streaming evaluator)
+# layer view (read by the functor to build a term's tensor network)
 # ---------------------------------------------------------------------------
 
 

@@ -9,29 +9,34 @@ dim 26):
     cap   -> (a, b) |-> tr(a o b)
     split -> a |-> sum_b b (x) projection of (b-dual o a)
 
-is monoidal, so a term evaluates layer by layer on one basis input: each
-stage applies one generator at a strand offset (the streaming evaluator
-behind ``apply_combo_to_basis`` and ``scan_basis``).  A whole term also
-evaluates at once as a tensor network: generator nodes joined by wires,
-with the input and output strands as boundary ports, contracted pairwise
-in a greedy smallest-intermediate order (``phi_tensor``; ``phi_closed`` is
-the case with no ports).  A creation-order strategy exists solely so
-tests can confirm the result is order-independent.
+is monoidal, so the value of a term is the contraction of its generator
+tensors along its wires, and that one operation is the whole evaluator.  A
+term becomes a network of generator nodes joined by wires (crossings only
+permute wires), with its input and output strands as boundary ports, and
+the network is contracted pairwise in a greedy smallest-intermediate order.
+``phi_tensor`` keeps every boundary port (``phi_closed`` is the case with
+none); ``scan_basis`` counts each input's nonzero outputs in that same
+tensor; ``apply_combo_to_basis`` and ``apply_term_sparse`` add one more
+node, the input state, on the input wires and keep only the outputs.  A
+creation-order strategy exists solely so tests can confirm the result is
+order-independent.
 
-States are sparse dictionaries keyed by index tuples.  Inside the module
-the values are Python ints over one scale per term: each generator table is
-stored scaled by the least common denominator of its entries, and a term's
-scale is the product of its layers' (or nodes') scales, so the hot loops
-multiply and add ints only.  Every public return divides the scale back
-out and is a {index-tuple: Fraction} dictionary (or a Fraction scalar).
-Everything is exact -- the whole module contains no floats.
+States and tensors are sparse dictionaries keyed by index tuples.  Inside
+the module the values are Python ints over one scale per term: each
+generator's node tensor is stored scaled by the least common denominator of
+its entries, and a term's scale is the product of its nodes' scales, so the
+contraction multiplies and adds ints only.  Every public return divides the
+scale back out and is a {index-tuple: Fraction} dictionary (or a Fraction
+scalar).  Everything is exact -- the whole module contains no floats.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .albert import build_basis, coords_V, jordan, project_v
@@ -58,11 +63,13 @@ DIM = 26
 
 Sparse = Dict[Tuple[int, ...], Fraction]
 IntSparse = Dict[Tuple[int, ...], int]
+Scaled = Tuple[int, IntSparse]  # (scale, integer tensor): the exact tensor is tensor / scale
 
-#: largest number of entries ``phi_tensor`` builds when it expands boundary
-#: wires that no node touches (through strands) over all DIM values; a
-#: request above it raises ValueError instead of exhausting memory.
-#: DIM**4 = 456,976 entries (``phi_tensor(Id(4))``) take seconds and ~150 MB.
+#: largest number of entries a whole-term tensor may have once the boundary
+#: wires that no node touches (through strands) are expanded over all DIM
+#: values; ``phi_tensor`` and ``scan_basis`` raise ValueError above it
+#: instead of exhausting memory.  DIM**4 = 456,976 entries
+#: (``phi_tensor(Id(4))``) take seconds and ~150 MB.
 MAX_PHI_ENTRIES = DIM**4
 
 
@@ -71,18 +78,13 @@ MAX_PHI_ENTRIES = DIM**4
 # ---------------------------------------------------------------------------
 
 
-def _lcd(values: Iterable[Fraction]) -> int:
-    """Least common denominator of exact rationals."""
-    return lcm(*{v.denominator for v in values})
-
-
 def _over(c: Fraction, scale: int) -> int:
     """The integer c * scale; scale must be a multiple of c's denominator."""
     return c.numerator * (scale // c.denominator)
 
 
 class GeneratorTensors:
-    """Sparse action tables for the five generators.
+    """Sparse tables for the five generators.
 
     Public tables, with exact Fraction entries:
 
@@ -91,13 +93,15 @@ class GeneratorTensors:
     cup_out           -> ((i, j, c), ...):         inverse Gram entries
     cap_val[(i,j)]    -> tr(b_i o b_j):            Gram entries
 
-    ``kernels[g]`` is ``(scale, table)``: the same table for generator g
-    with every entry multiplied by ``scale``, the least common denominator
-    of its entries, so the entries are ints (``table`` is None for cross,
-    whose scale is 1).  The evaluator and the contractor read only these.
+    ``nodes[g]`` is ``(scale, tensor)`` for each generator that becomes a
+    network node (a crossing only permutes wires): the table of g keyed by
+    the node's ports in order, inputs then outputs -- ``(i, j, k)`` for
+    merge, ``(k, i, j)`` for split -- with every entry multiplied by
+    ``scale``, the least common denominator of its entries, so the entries
+    are ints.  The contractor reads only these.
     """
 
-    __slots__ = ("merge_out", "split_out", "cup_out", "cap_val", "basisdata", "kernels")
+    __slots__ = ("merge_out", "split_out", "cup_out", "cap_val", "basisdata", "nodes")
 
     def __init__(self):
         bd = build_basis()
@@ -135,28 +139,23 @@ class GeneratorTensors:
             if gram.data[i][j]
         }
 
-        ms = _lcd(c for hits in merge_out.values() for _, c in hits)
-        ss = _lcd(c for hits in split_out.values() for _, _, c in hits)
-        us = _lcd(c for _, _, c in cup_out)
-        cs = _lcd(cap_val.values())
-        kernels = {
-            MERGE: (ms, {
-                ij: tuple((k, _over(c, ms)) for k, c in hits) for ij, hits in merge_out.items()
-            }),
-            SPLIT: (ss, {
-                k: tuple((i, j, _over(c, ss)) for i, j, c in hits) for k, hits in split_out.items()
-            }),
-            CUP: (us, tuple((i, j, _over(c, us)) for i, j, c in cup_out)),
-            CAP: (cs, {ij: _over(c, cs) for ij, c in cap_val.items()}),
-            CROSS: (1, None),
+        by_ports = {
+            MERGE: {(i, j, k): c for (i, j), hits in merge_out.items() for k, c in hits},
+            SPLIT: {(k, i, j): c for k, hits in split_out.items() for i, j, c in hits},
+            CUP: {(i, j): c for i, j, c in cup_out},
+            CAP: cap_val,
         }
+        nodes: Dict[Gen, Scaled] = {}
+        for g, table in by_ports.items():
+            scale = lcm(*{c.denominator for c in table.values()})
+            nodes[g] = (scale, {ports: _over(c, scale) for ports, c in table.items()})
 
         object.__setattr__(self, "merge_out", merge_out)
         object.__setattr__(self, "split_out", split_out)
         object.__setattr__(self, "cup_out", cup_out)
         object.__setattr__(self, "cap_val", cap_val)
         object.__setattr__(self, "basisdata", bd)
-        object.__setattr__(self, "kernels", kernels)
+        object.__setattr__(self, "nodes", nodes)
 
     def __setattr__(self, *a):
         raise AttributeError("GeneratorTensors is immutable")
@@ -173,167 +172,7 @@ def generator_tensors() -> GeneratorTensors:
 
 
 # ---------------------------------------------------------------------------
-# sparse streaming evaluator
-# ---------------------------------------------------------------------------
-
-_CACHE_ENABLED = True
-_TERM_BASIS_CACHE: Dict[Tuple[DiagramTerm, Tuple[int, ...]], Sparse] = {}
-
-
-def set_cache_enabled(flag: bool) -> None:
-    """Turn the per-(term, basis-input) memo on or off (results must be
-    identical either way; the switch exists so tests can prove that)."""
-    global _CACHE_ENABLED
-    _CACHE_ENABLED = bool(flag)
-    if not flag:
-        _TERM_BASIS_CACHE.clear()
-
-
-def _prune(d: dict) -> dict:
-    return {k: v for k, v in d.items() if v}
-
-
-def _apply_gen(state: IntSparse, off: int, g: Gen, table) -> IntSparse:
-    """One generator at strand offset ``off``, on ints: ``table`` is the
-    generator's scaled integer table, so the output is scaled by its scale."""
-    out: IntSparse = {}
-    if g is CROSS:
-        for idx, c in state.items():
-            out[idx[:off] + (idx[off + 1], idx[off]) + idx[off + 2 :]] = c
-        return out
-    if g is MERGE:
-        for idx, c in state.items():
-            hits = table.get((idx[off], idx[off + 1]))
-            if not hits:
-                continue
-            head, tail = idx[:off], idx[off + 2 :]
-            for k, mc in hits:
-                key = head + (k,) + tail
-                out[key] = out.get(key, 0) + c * mc
-        return _prune(out)
-    if g is SPLIT:
-        for idx, c in state.items():
-            hits = table.get(idx[off])
-            if not hits:
-                continue
-            head, tail = idx[:off], idx[off + 1 :]
-            for i, j, sc in hits:
-                key = head + (i, j) + tail
-                out[key] = out.get(key, 0) + c * sc
-        return _prune(out)
-    if g is CUP:
-        for idx, c in state.items():
-            head, tail = idx[:off], idx[off:]
-            for i, j, cc in table:
-                key = head + (i, j) + tail
-                out[key] = out.get(key, 0) + c * cc
-        return _prune(out)
-    if g is CAP:
-        for idx, c in state.items():
-            v = table.get((idx[off], idx[off + 1]))
-            if not v:
-                continue
-            key = idx[:off] + idx[off + 2 :]
-            out[key] = out.get(key, 0) + c * v
-        return _prune(out)
-    raise TypeError(f"unknown generator {g!r}")
-
-
-Program = Tuple[int, Tuple[Tuple[int, Gen, object], ...]]
-_PROGRAMS: Dict[DiagramTerm, Program] = {}
-
-
-def _program(term: DiagramTerm) -> Program:
-    """The term's layers with their integer tables, and the term's scale
-    (the product of its layers' scales); flattened once per term."""
-    prog = _PROGRAMS.get(term)
-    if prog is None:
-        kernels = generator_tensors().kernels
-        scale, steps = 1, []
-        for off, g in to_layers(term):
-            s, table = kernels[g]
-            scale *= s
-            steps.append((off, g, table))
-        prog = _PROGRAMS[term] = (scale, tuple(steps))
-    return prog
-
-
-def _run(term: DiagramTerm, state: IntSparse, den: int) -> Sparse:
-    """Push an integer state over the common denominator ``den`` through
-    every layer; the result is back in Fractions."""
-    scale, steps = _program(term)
-    for off, g, table in steps:
-        state = _apply_gen(state, off, g, table)
-        if not state:
-            break
-    scale *= den
-    return {k: Fraction(n, scale) for k, n in state.items()}
-
-
-def apply_term_sparse(term: DiagramTerm, state: Sparse) -> Sparse:
-    """Push a sparse state (over term.src strands) through every layer."""
-    den = lcm(*(v.denominator for v in state.values()))
-    return _run(term, {k: _over(v, den) for k, v in state.items()}, den)
-
-
-def apply_term_to_basis(term: DiagramTerm, idx: Tuple[int, ...]) -> Sparse:
-    """Evaluate one term on one standard basis tensor; memoized."""
-    if _CACHE_ENABLED:
-        key = (term, idx)
-        hit = _TERM_BASIS_CACHE.get(key)
-        if hit is None:
-            hit = _run(term, {idx: 1}, 1)
-            _TERM_BASIS_CACHE[key] = hit
-        return hit
-    return _run(term, {idx: 1}, 1)
-
-
-def _check_concrete(f: DiagramCombo) -> DiagramCombo:
-    if f.is_symbolic():
-        raise TypeError(
-            "combo has symbolic coefficients; specialize(alpha, delta) first"
-        )
-    return f
-
-
-def apply_combo_to_basis(f, idx: Tuple[int, ...]) -> Sparse:
-    """Sparse output of a (non-symbolic) combo on one basis input."""
-    f = _check_concrete(as_combo(f))
-    if len(idx) != f.src:
-        raise DiagramArityError(f"combo consumes {f.src} strands, input has {len(idx)}")
-    # A term's values have denominators dividing its scale, so over den
-    # every coeff * value is an int and the sum runs on ints.
-    den = lcm(*(coeff.denominator * _program(term)[0] for term, coeff in f.terms))
-    acc: IntSparse = {}
-    for term, coeff in f.terms:
-        m = _over(coeff, den)
-        for k, v in apply_term_to_basis(term, idx).items():
-            acc[k] = acc.get(k, 0) + m * v.numerator // v.denominator
-    return {k: Fraction(n, den) for k, n in acc.items() if n}
-
-
-def basis_indices(m: int) -> Iterable[Tuple[int, ...]]:
-    return product(range(DIM), repeat=m)
-
-
-def scan_basis(f) -> Tuple[int, int]:
-    """Stream every standard basis input through a concrete combo.
-
-    Returns (inputs checked, largest number of nonzero output coordinates
-    seen); the map is zero exactly when the second number is 0.  Never
-    materializes a dense 26^(m+n) tensor; each input's output stays sparse.
-    """
-    f = _check_concrete(as_combo(f))
-    checked = 0
-    worst = 0
-    for idx in basis_indices(f.src):
-        checked += 1
-        worst = max(worst, len(apply_combo_to_basis(f, idx)))
-    return checked, worst
-
-
-# ---------------------------------------------------------------------------
-# whole terms: tensor-network contraction
+# tensor-network contraction
 # ---------------------------------------------------------------------------
 
 
@@ -345,37 +184,17 @@ class _Node:
         self.tensor = tensor
 
 
-NodeTensor = Tuple[int, IntSparse]  # (scale, integer tensor)
-_NODE_TENSORS: Optional[Tuple[NodeTensor, NodeTensor, NodeTensor, NodeTensor]] = None
+def _prune(d: dict) -> dict:
+    return {k: v for k, v in d.items() if v}
 
 
-def _node_tensors() -> Tuple[NodeTensor, NodeTensor, NodeTensor, NodeTensor]:
-    """(scale, integer tensor) for merge, split, cup and cap, keyed by the
-    node's ports in order (inputs, then outputs)."""
-    global _NODE_TENSORS
-    if _NODE_TENSORS is None:
-        kernels = generator_tensors().kernels
-        ms, merge = kernels[MERGE]
-        ss, split = kernels[SPLIT]
-        us, cup = kernels[CUP]
-        cs, cap = kernels[CAP]
-        _NODE_TENSORS = (
-            (ms, {(i, j, k): c for (i, j), hits in merge.items() for k, c in hits}),
-            (ss, {(k, i, j): c for k, hits in split.items() for i, j, c in hits}),
-            (us, {(i, j): c for i, j, c in cup}),
-            (cs, dict(cap)),
-        )
-    return _NODE_TENSORS
-
-
-def _network_of(term: DiagramTerm) -> Tuple[List[_Node], List[int], int]:
+def _network_of(term: DiagramTerm) -> Tuple[List[_Node], List[int], List[int], int]:
     """Turn a term into generator nodes joined by wires; crossings become
     wire permutations, identities disappear.  Returns the nodes, the
-    boundary wires -- the term.src inputs, then the term.tgt outputs (a
-    through strand is both, so its wire appears twice) -- and the term's
-    scale, the product of its nodes' scales."""
-    merge_nd, split_nd, cup_nd, cap_nd = _node_tensors()
-
+    term.src input wires, the term.tgt output wires (a through strand's
+    wire is in both) and the term's scale, the product of its nodes'
+    scales."""
+    tables = generator_tensors().nodes
     fresh = iter(range(10**9)).__next__
     nodes: List[_Node] = []
     scale = 1
@@ -386,25 +205,32 @@ def _network_of(term: DiagramTerm) -> Tuple[List[_Node], List[int], int]:
             wires[off], wires[off + 1] = wires[off + 1], wires[off]
             continue
         if g is CUP:
-            w1, w2 = fresh(), fresh()
-            nd, ports = cup_nd, [w1, w2]
-            wires[off:off] = [w1, w2]
+            ports = [fresh(), fresh()]
+            wires[off:off] = ports
         elif g is CAP:
-            nd, ports = cap_nd, [wires[off], wires[off + 1]]
+            ports = wires[off : off + 2]
             del wires[off : off + 2]
         elif g is MERGE:
-            w = fresh()
-            nd, ports = merge_nd, [wires[off], wires[off + 1], w]
-            wires[off : off + 2] = [w]
+            ports = wires[off : off + 2] + [fresh()]
+            wires[off : off + 2] = ports[2:]
         elif g is SPLIT:
-            w1, w2 = fresh(), fresh()
-            nd, ports = split_nd, [wires[off], w1, w2]
-            wires[off : off + 1] = [w1, w2]
+            ports = [wires[off], fresh(), fresh()]
+            wires[off : off + 1] = ports[1:]
         else:
             raise TypeError(f"unknown generator {g!r}")
-        scale *= nd[0]
-        nodes.append(_Node(ports, nd[1]))
-    return nodes, inputs + wires, scale
+        s, tensor = tables[g]
+        scale *= s
+        nodes.append(_Node(ports, tensor))
+    return nodes, inputs, wires, scale
+
+
+def _project(positions: List[int]) -> itemgetter:
+    """An itemgetter projecting a key onto ``positions``, always to a tuple
+    (a run of consecutive positions, including none or one, is a slice)."""
+    lo = positions[0] if positions else 0
+    if positions == list(range(lo, lo + len(positions))):
+        return itemgetter(slice(lo, lo + len(positions)))
+    return itemgetter(*positions)
 
 
 def _contract_pair(a: _Node, b: _Node) -> _Node:
@@ -414,17 +240,18 @@ def _contract_pair(a: _Node, b: _Node) -> _Node:
     a_keep = [p for p in range(len(a.ports)) if p not in a_pos]
     b_keep = [p for p in range(len(b.ports)) if p not in b_pos]
 
+    a_match, a_head = _project(a_pos), _project(a_keep)
+    b_match, b_tail = _project(b_pos), _project(b_keep)
     buckets: Dict[Tuple[int, ...], List[Tuple[Tuple[int, ...], int]]] = {}
     for key, c in b.tensor.items():
-        bk = tuple(key[p] for p in b_pos)
-        buckets.setdefault(bk, []).append((tuple(key[p] for p in b_keep), c))
+        buckets.setdefault(b_match(key), []).append((b_tail(key), c))
 
     out: IntSparse = {}
     for key, c in a.tensor.items():
-        hit = buckets.get(tuple(key[p] for p in a_pos))
+        hit = buckets.get(a_match(key))
         if not hit:
             continue
-        head = tuple(key[p] for p in a_keep)
+        head = a_head(key)
         for tail, bc in hit:
             k = head + tail
             out[k] = out.get(k, 0) + c * bc
@@ -469,27 +296,126 @@ def _contract_network(nodes: List[_Node], boundary: List[int], strategy: str) ->
             f"tensor would have {entries} entries ({len(through)} through strands), "
             f"above the limit of {MAX_PHI_ENTRIES}"
         )
-    where = [
-        (0, final.ports.index(w)) if w in final.ports else (1, through.index(w))
+    # positions in key + vals, the final node's key followed by the values
+    # of the through wires
+    pick = _project([
+        final.ports.index(w) if w in final.ports else len(final.ports) + through.index(w)
         for w in boundary
-    ]
+    ])
     out: IntSparse = {}
     for key, c in final.tensor.items():
         for vals in product(range(DIM), repeat=len(through)):
-            parts = (key, vals)
-            out[tuple(parts[s][p] for s, p in where)] = c
+            out[pick(key + vals)] = c
     return out
+
+
+# ---------------------------------------------------------------------------
+# terms and combos
+# ---------------------------------------------------------------------------
+
+_CACHE_ENABLED = True
+_TERM_TENSORS: Dict[DiagramTerm, Scaled] = {}
+
+
+def set_cache_enabled(flag: bool) -> None:
+    """Turn the memo of whole-term tensors (greedy order, keyed by term) on
+    or off; off also empties it.  Results are identical either way."""
+    global _CACHE_ENABLED
+    _CACHE_ENABLED = bool(flag)
+    if not flag:
+        _TERM_TENSORS.clear()
+
+
+def _term_tensor(term: DiagramTerm, strategy: str = "greedy") -> Scaled:
+    """The term's whole tensor, keyed by (inputs..., outputs...), with its
+    scale; greedy contractions are memoized."""
+    hit = _TERM_TENSORS.get(term) if strategy == "greedy" else None
+    if hit is None:
+        nodes, inputs, outputs, scale = _network_of(term)
+        hit = (scale, _contract_network(nodes, inputs + outputs, strategy))
+        if strategy == "greedy" and _CACHE_ENABLED:
+            _TERM_TENSORS[term] = hit
+    return hit
+
+
+def _apply(term: DiagramTerm, state: IntSparse, den: int) -> Scaled:
+    """The term's outputs on an integer state over the common denominator
+    ``den``: the state is one more node, on the input wires."""
+    nodes, inputs, outputs, scale = _network_of(term)
+    nodes.append(_Node(inputs, state))
+    return scale * den, _contract_network(nodes, outputs, "greedy")
+
+
+def _combo_sum(parts: Iterable[Tuple[Fraction, Scaled]]) -> Scaled:
+    """Sum coeff * tensor / scale over (coeff, (scale, tensor)) parts on
+    ints.  Returns (den, total), the sum being total / den."""
+    den, acc = 1, {}
+    for coeff, (scale, tensor) in parts:
+        d = coeff.denominator * scale
+        if den % d:
+            grow = lcm(den, d) // den
+            acc = {k: n * grow for k, n in acc.items()}
+            den *= grow
+        m = coeff.numerator * (den // d)
+        for k, n in tensor.items():
+            acc[k] = acc.get(k, 0) + m * n
+    return den, _prune(acc)
+
+
+def _fractions(scaled: Scaled) -> Sparse:
+    scale, tensor = scaled
+    return {k: Fraction(n, scale) for k, n in tensor.items()}
+
+
+def _check_concrete(f: DiagramCombo) -> DiagramCombo:
+    if f.is_symbolic():
+        raise TypeError(
+            "combo has symbolic coefficients; specialize(alpha, delta) first"
+        )
+    return f
+
+
+def apply_term_sparse(term: DiagramTerm, state: Sparse) -> Sparse:
+    """The term's output on a sparse state over its term.src strands."""
+    den = lcm(*(v.denominator for v in state.values()))
+    return _fractions(_apply(term, {k: _over(v, den) for k, v in state.items()}, den))
+
+
+def apply_combo_to_basis(f, idx: Tuple[int, ...]) -> Sparse:
+    """Sparse output of a (non-symbolic) combo on one basis input."""
+    f = _check_concrete(as_combo(f))
+    if len(idx) != f.src:
+        raise DiagramArityError(f"combo consumes {f.src} strands, input has {len(idx)}")
+    state = {tuple(idx): 1}
+    return _fractions(_combo_sum((coeff, _apply(term, state, 1)) for term, coeff in f.terms))
+
+
+def basis_indices(m: int) -> Iterable[Tuple[int, ...]]:
+    return product(range(DIM), repeat=m)
+
+
+def scan_basis(f) -> Tuple[int, int]:
+    """Decide whether a concrete combo is the zero map, on every standard
+    basis input at once.
+
+    Each term's tensor is contracted once, with its inputs as boundary
+    ports, and the terms are summed on ints; the nonzero entries are then
+    counted per input.  Returns (inputs checked, that is 26**src, largest
+    number of nonzero output coordinates of one input); the map is zero
+    exactly when the second number is 0.  Like ``phi_tensor`` it raises
+    ValueError at once when a term's through strands would expand past
+    MAX_PHI_ENTRIES entries (``Id(5)`` does), rather than visiting each of
+    the 26**src inputs.
+    """
+    f = _check_concrete(as_combo(f))
+    _, total = _combo_sum((coeff, _term_tensor(term)) for term, coeff in f.terms)
+    per_input = Counter(key[: f.src] for key in total)
+    return DIM**f.src, max(per_input.values(), default=0)
 
 
 def _phi(f, strategy: str) -> Sparse:
     f = _check_concrete(as_combo(f))
-    out: Sparse = {}
-    for term, coeff in f.terms:
-        nodes, boundary, scale = _network_of(term)
-        c = Fraction(coeff, scale)
-        for k, v in _contract_network(nodes, boundary, strategy).items():
-            out[k] = out.get(k, ZERO) + c * v
-    return _prune(out)
+    return _fractions(_combo_sum((coeff, _term_tensor(term, strategy)) for term, coeff in f.terms))
 
 
 def phi_tensor(f) -> Sparse:

@@ -2,9 +2,10 @@
 
 Every identity the engine guarantees is recorded as a :class:`RelationSpec`
 whose two sides are diagram combinations with coefficients in Q(a, d).  A
-checker specializes the coefficients at (alpha, delta) = (7/3, 26) and streams
-every standard basis vector of the source tensor power through ``lhs - rhs``,
-demanding that each output coordinate vanish identically.
+checker specializes the coefficients at (alpha, delta) = (7/3, 26), contracts
+``lhs - rhs`` into one exact tensor over every standard basis input of the
+source tensor power, and demands that each output coordinate vanish
+identically.
 
 Beyond plain relations the module verifies three structured facts:
 
@@ -438,7 +439,7 @@ def relation_families() -> List[str]:
 # -- checkers -----------------------------------------------------------------
 
 def check_relation(name: str) -> Dict[str, object]:
-    """Stream all basis vectors through lhs - rhs of one catalogued relation.
+    """Evaluate lhs - rhs of one catalogued relation on every basis input.
 
     Returns ``{"name", "holds", "max_deviation_terms", "basis_checked",
     "expected_holds"}`` where ``max_deviation_terms`` is the largest number of
@@ -490,8 +491,9 @@ def run_relations(names: Optional[Sequence[str]] = None) -> List[Dict[str, objec
     """Check the named relations (default: every checkable catalog entry).
 
     A name may also be a family prefix such as ``"vortex"``; it expands to all
-    members.  Reports come back in catalog order; non-checkable entries are
-    reported with ``"skipped": True``.
+    members, in catalog order.  Reports come back in request order, one per
+    relation however often it is named; non-checkable entries are reported
+    with ``"skipped": True``.
     """
     cat = catalog()
     if names is None:
@@ -506,6 +508,7 @@ def run_relations(names: Optional[Sequence[str]] = None) -> List[Dict[str, objec
             if not members:
                 raise KeyError("unknown relation or family %r" % raw)
             wanted.extend(members)
+        wanted = list(dict.fromkeys(wanted))
     reports: List[Dict[str, object]] = []
     for nm in wanted:
         spec = cat[nm]

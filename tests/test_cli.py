@@ -104,6 +104,20 @@ def test_verify_family_and_suite(capsys):
     assert all(l.endswith("inputs)") for l in lines[:-1])
 
 
+def test_verify_runs_each_target_once(capsys):
+    # chess_loop is named on its own and again as a member of chess
+    rc, out, _ = run(capsys, "verify", "chess_loop", "chess")
+    assert rc == 0
+    lines = out.splitlines()
+    assert len(lines) == 5
+    assert lines[0] == "chess_loop: OK (26 inputs)"
+    rc, out, _ = run(capsys, "verify", "chess_loop", "chess", "--format", "json")
+    assert rc == 0
+    assert len(json.loads(out)) == 5
+    rc, out, _ = run(capsys, "verify", "sack", "sack")
+    assert (rc, out) == (0, "sack: OK (676 inputs)\n")
+
+
 def test_verify_unknown_target(capsys):
     rc, _, err = run(capsys, "verify", "definitely_not_a_relation")
     assert rc == 2

@@ -165,10 +165,11 @@ def test_cache_toggle_is_invisible():
     probe = parse_diagram("(split @ id(1)) ; (id(1) @ merge)")
     try:
         set_cache_enabled(False)
-        cold = apply_combo_to_basis(probe, (2, 7))
+        cold = phi_tensor(probe), scan_basis(probe)
     finally:
         set_cache_enabled(True)
-    assert cold == apply_combo_to_basis(probe, (2, 7))
+    assert cold == (phi_tensor(probe), scan_basis(probe))
+    assert cold == (phi_tensor(probe), scan_basis(probe))  # from the memo
 
 
 def test_closure_rejects_rectangular():
@@ -176,14 +177,30 @@ def test_closure_rejects_rectangular():
         closure(as_combo(MERGE))
 
 
-def _agrees_with_streaming(f):
-    """phi_tensor sliced at each basis input equals the streamed output."""
+def _reference_combo(f, idx):
+    """The combo's output on one basis input, from the layer-by-layer
+    Fraction reference below, which shares no code with the contractor."""
+    out = {}
+    for term, coeff in f.terms:
+        for k, v in _reference_term(term, {idx: Fraction(1)}).items():
+            out[k] = out.get(k, Fraction(0)) + coeff * v
+    return {k: v for k, v in out.items() if v}
+
+
+def _agrees_with_reference(f):
+    """phi_tensor sliced at each basis input, apply_combo_to_basis there, and
+    scan_basis's largest row all match the independent reference."""
     f = as_combo(f)
     rows = {}
     for key, c in phi_tensor(f).items():
         rows.setdefault(key[: f.src], {})[key[f.src :]] = c
+    worst = 0
     for idx in basis_indices(f.src):
-        assert rows.get(idx, {}) == apply_combo_to_basis(f, idx), idx
+        expected = _reference_combo(f, idx)
+        assert rows.get(idx, {}) == expected, idx
+        assert apply_combo_to_basis(f, idx) == expected, idx
+        worst = max(worst, len(expected))
+    assert scan_basis(f) == (26**f.src, worst)
 
 
 @pytest.mark.parametrize(
@@ -203,7 +220,7 @@ def _agrees_with_streaming(f):
 )
 def test_phi_tensor_matches_streaming(expr):
     f = parse_diagram(expr)
-    _agrees_with_streaming(f.specialize(Fraction(7, 3), 26) if f.is_symbolic() else f)
+    _agrees_with_reference(f.specialize(Fraction(7, 3), 26) if f.is_symbolic() else f)
 
 
 def test_phi_tensor_of_a_closed_combo_is_its_scalar():
@@ -242,7 +259,7 @@ def _combos(draw):
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_combos())
 def test_network_contraction_properties(f):
-    _agrees_with_streaming(f)
+    _agrees_with_reference(f)
     square = f if f.src == f.tgt else f.then(mirror(f))
     closed = closure(square)
     assert phi_closed(closed, strategy="greedy") == phi_closed(closed, strategy="serial")
@@ -250,49 +267,42 @@ def test_network_contraction_properties(f):
 
 def test_phi_tensor_refuses_huge_through_expansions():
     # id(5) is five untouched through strands: 26**5 entries, over the limit.
-    # (id(2), under it, is one of the streaming-agreement cases above.)
+    # (id(2), under it, is one of the reference-agreement cases above.)  The
+    # scan contracts the same whole-term tensors, so it fails as fast instead
+    # of visiting 26**5 inputs one by one.
     assert MAX_PHI_ENTRIES == 26**4
-    t0 = time.perf_counter()
-    with pytest.raises(ValueError, match=str(26**5)):
-        phi_tensor(as_combo(Id(5)))
-    assert time.perf_counter() - t0 < 1
+    for evaluate in (phi_tensor, scan_basis):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=str(26**5)):
+            evaluate(as_combo(Id(5)))
+        assert time.perf_counter() - t0 < 1
 
 
 # ---------------------------------------------------------------------------
-# integer kernels against an independent Fraction reference
+# the integer contractor against an independent Fraction reference
 # ---------------------------------------------------------------------------
 
 
 def test_integer_tables_are_the_scaled_fraction_tables():
     gens = generator_tensors()
-    cup = _cup(gens)
     fraction_tables = {
         MERGE: {(i, j, k): c for (i, j), hits in gens.merge_out.items() for k, c in hits},
         SPLIT: {(k, i, j): c for k, hits in gens.split_out.items() for i, j, c in hits},
-        CUP: cup,
+        CUP: _cup(gens),
         CAP: gens.cap_val,
     }
-    scale_m, merge = gens.kernels[MERGE]
-    scale_s, split = gens.kernels[SPLIT]
-    scale_u, cup_int = gens.kernels[CUP]
-    scale_c, cap = gens.kernels[CAP]
-    int_tables = {
-        MERGE: (scale_m, {(i, j, k): n for (i, j), hits in merge.items() for k, n in hits}),
-        SPLIT: (scale_s, {(k, i, j): n for k, hits in split.items() for i, j, n in hits}),
-        CUP: (scale_u, {(i, j): n for i, j, n in cup_int}),
-        CAP: (scale_c, cap),
-    }
+    assert set(gens.nodes) == set(fraction_tables)
     for g, exact in fraction_tables.items():
-        scale, table = int_tables[g]
+        scale, table = gens.nodes[g]
         assert scale == lcm(*(c.denominator for c in exact.values())), g
         assert all(type(n) is int for n in table.values()), g
         assert {k: Fraction(n, scale) for k, n in table.items()} == exact, g
-    assert gens.kernels[CROSS] == (1, None)
+    assert CROSS not in gens.nodes  # a crossing permutes wires; it has no table
 
 
 def _reference_term(term, state):
     """Push a Fraction state through the term's layers, straight from the
-    public Fraction tables: the kernel the integer evaluator must match."""
+    public Fraction tables: the reference the contractor must match."""
     gens = generator_tensors()
     cup = _cup(gens)
     for off, g in to_layers(term):

@@ -2,9 +2,11 @@
 
 The expensive sweeps (full family runs, idempotent dimension counts, the
 bent/loop post checks) live in test_acceptance.py; here we exercise the
-catalog plumbing and a handful of fast entries.
+catalog plumbing, a handful of fast entries, and one run of every
+checkable entry against a 120 s budget.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -82,6 +84,29 @@ def test_croatia_is_not_checkable():
             "reason": "free scalar; recorded for reference only",
         }
     ]
+
+
+def test_whole_catalog_holds_as_expected():
+    # Every checkable entry, the bent pivotal_* and rotary_* ones included,
+    # on every basis input of its source strands.
+    cat = catalog()
+    start = time.monotonic()
+    reports = run_relations()
+    elapsed = time.monotonic() - start
+    checked = [r for r in reports if not r.get("skipped")]
+    assert [r["name"] for r in checked] == [nm for nm, spec in cat.items() if spec.checkable]
+    assert len(checked) == 56
+    for rep in checked:
+        assert rep["holds"] == rep["expected_holds"], rep
+        assert rep["basis_checked"] == 26 ** cat[rep["name"]].lhs.src, rep
+    assert elapsed < 120, f"took {elapsed:.2f}s, budget 120s"
+
+
+def test_run_relations_checks_each_name_once_in_request_order():
+    reports = run_relations(["chess_loop", "magic", "chess", "magic"])
+    names = [r["name"] for r in reports]
+    chess = [nm for nm in relation_names() if nm.startswith("chess_")]
+    assert names == ["chess_loop", "magic"] + [nm for nm in chess if nm != "chess_loop"]
 
 
 def test_unknown_names_raise():
