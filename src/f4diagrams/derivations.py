@@ -6,26 +6,23 @@ the Leibniz rule D(a o b) = D(a) o b + a o D(b).  Imposing the rule on all
 equations in the 729 matrix entries of D.  Its solution space is the Lie
 algebra of type F4, of dimension 52.
 
-Solving that system naively over the rationals is slow, so the nullspace is
-*discovered* by Gaussian elimination modulo a word-sized prime and lifted
-back to exact rationals by rational reconstruction — and then *certified*
-entirely in exact arithmetic:
+The nullspace is found by exact sparse Gaussian elimination over the
+rationals (each Leibniz row touches at most four unknowns), reduced to
+echelon form, and then *certified* in exact arithmetic:
 
-  * every lifted matrix is checked against all 378 pair equations (integer
+  * the rank of the whole system is exactly 677, so its nullity is exactly
+    729 - 677 = 52;
+  * every basis matrix is checked against all 378 pair equations (integer
     arithmetic, denominators cleared), must kill the unit, and must map
     every basis element to a traceless one;
-  * the 52 lifted vectors carry a reduced-echelon sparsity pattern (each is
-    1 at its own free column and 0 at the others), so their independence is
-    immediate;
-  * the modular echelon rank is a lower bound for the rank over the
-    rationals, so reaching rank 677 modulo p proves the exact nullity is at
-    most 729 - 677 = 52.
+  * the 52 vectors carry a reduced-echelon sparsity pattern (each is 1 at
+    its own free column and 0 at the others), so their independence is
+    immediate.
 
-Together these facts pin the dimension to exactly 52 without trusting any
-modular result.  The basis is cached as plain text (one 27x27 block of
-rationals per derivation) under F4DIAGRAMS_CACHE_DIR, default
-~/.cache/f4diagrams; a fingerprint of the structure constants guards the
-cache against basis-convention drift.
+The last two checks run again on every cache load.  The basis is cached
+as plain text (one 27x27 block of rationals per derivation) under
+F4DIAGRAMS_CACHE_DIR, default ~/.cache/f4diagrams; a fingerprint of the
+structure constants guards the cache against basis-convention drift.
 
 check_equivariance() restricts each derivation to the traceless part V and
 verifies, exactly, that the three generator tensors are infinitesimally
@@ -39,6 +36,7 @@ import hashlib
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -51,17 +49,13 @@ from .albert import (
     coords_V,
     jordan,
 )
-from .exactla import RatMatrix
+from .exactla import RatMatrix, sparse_nullspace
 from .octonion import Octonion
 
 N_A = 27
 N_UNKNOWNS = N_A * N_A
 DIM_DER = 52
 RANK_TARGET = N_UNKNOWNS - DIM_DER
-
-# Primes below 2**26, small enough that a 677-term dot product of residues
-# fits in int64 during the numpy elimination.
-_PRIMES = (67108859, 67108837, 67108819, 67108777)
 
 CACHE_ENV = "F4DIAGRAMS_CACHE_DIR"
 _CACHE_FILE = "derivation_basis.txt"
@@ -135,8 +129,8 @@ def _conventions_fingerprint() -> str:
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
-def _equation_rows() -> Iterator[Tuple[List[int], List[int]]]:
-    """Integer-cleared sparse rows of the Leibniz system, one at a time.
+def _equation_rows() -> Iterator[Dict[int, Fraction]]:
+    """Sparse rows {column: coefficient} of the Leibniz system, one at a time.
 
     Unknown (r, c) — entry D[r][c] — lives at column 27*r + c.  For each
     basis pair i <= j and each target coordinate k the row encodes
@@ -157,105 +151,7 @@ def _equation_rows() -> Iterator[Tuple[List[int], List[int]]]:
                 for r, c in trans.get((i, k), ()):
                     key = N_A * r + j
                     acc[key] = acc.get(key, F0) - c
-                items = sorted((col, v) for col, v in acc.items() if v)
-                if not items:
-                    continue
-                den = 1
-                for _, v in items:
-                    den = den * v.denominator // math.gcd(den, v.denominator)
-                yield [col for col, _ in items], [int(v * den) for _, v in items]
-
-
-# ---------------------------------------------------------------------------
-# modular elimination and rational reconstruction
-# ---------------------------------------------------------------------------
-
-
-def _modular_nullspace(prime: int) -> Tuple[List[int], List[int], List[List[int]], int]:
-    """Reduced echelon of the Leibniz system modulo `prime`.
-
-    Rows are folded into a maintained reduced row-echelon form one at a
-    time; insertion stops as soon as the rank reaches RANK_TARGET, since
-    additional rows can only confirm it.  Returns (pivot columns, free
-    columns, nullspace vectors as residue lists, rank).
-    """
-    import numpy as np
-
-    ebuf = np.zeros((RANK_TARGET, N_UNKNOWNS), dtype=np.int64)
-    pivs: List[int] = []
-    rank = 0
-    for cols, vals in _equation_rows():
-        row = np.zeros(N_UNKNOWNS, dtype=np.int64)
-        row[cols] = [v % prime for v in vals]
-        if rank:
-            coeffs = row[np.array(pivs, dtype=np.intp)]
-            if coeffs.any():
-                row = (row - coeffs @ ebuf[:rank]) % prime
-        nz = np.nonzero(row)[0]
-        if nz.size == 0:
-            continue
-        c = int(nz[0])
-        row = (row * pow(int(row[c]), prime - 2, prime)) % prime
-        if rank:
-            col = ebuf[:rank, c].copy()
-            if col.any():
-                ebuf[:rank] = (ebuf[:rank] - col[:, None] * row[None, :]) % prime
-        ebuf[rank] = row
-        pivs.append(c)
-        rank += 1
-        if rank == RANK_TARGET:
-            break
-
-    order = sorted(range(rank), key=lambda r: pivs[r])
-    piv_sorted = [pivs[r] for r in order]
-    piv_set = set(piv_sorted)
-    free = [c for c in range(N_UNKNOWNS) if c not in piv_set]
-    emat = ebuf[np.array(order, dtype=np.intp)]
-    vecs: List[List[int]] = []
-    for f in free:
-        v = [0] * N_UNKNOWNS
-        v[f] = 1
-        for r, c in enumerate(piv_sorted):
-            v[c] = int(-emat[r, f]) % prime
-        vecs.append(v)
-    return piv_sorted, free, vecs, rank
-
-
-def _ratrec(t: int, m: int) -> Optional[Fraction]:
-    """Balanced rational reconstruction of t modulo m (None if impossible)."""
-    t %= m
-    bound = math.isqrt(m // 2)
-    r0, r1 = m, t
-    s0, s1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if s1 == 0 or abs(s1) > bound:
-        return None
-    num, den = (r1, s1) if s1 > 0 else (-r1, -s1)
-    if math.gcd(abs(num), den) != 1:
-        return None
-    return Fraction(num, den)
-
-
-def _lift_vectors(vec_sets: List[List[List[int]]], moduli: List[int]) -> Optional[List[List[Fraction]]]:
-    """Lift residue vectors (consistent across moduli) to rationals via CRT."""
-    m = math.prod(moduli)
-    lifted: List[List[Fraction]] = []
-    for residues in zip(*vec_sets):
-        vec: List[Fraction] = []
-        for entries in zip(*residues):
-            t = 0
-            for res, p in zip(entries, moduli):
-                q = m // p
-                t += res * q * pow(q, -1, p)
-            x = _ratrec(t % m, m)
-            if x is None:
-                return None
-            vec.append(x)
-        lifted.append(vec)
-    return lifted
+                yield acc
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +253,7 @@ def _read_cache(path: str) -> Optional[List[RatMatrix]]:
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
-    except OSError:
+    except (OSError, UnicodeDecodeError):
         return None
     lines = text.splitlines()
     if len(lines) < 2:
@@ -396,25 +292,11 @@ _RESTRICTED: Optional[List[RatMatrix]] = None
 
 
 def _compute_basis_fresh() -> List[List[Fraction]]:
-    """Discover the nullspace modulo a prime and lift it to rationals."""
-    last: Optional[Tuple[List[int], List[List[int]]]] = None
-    for take in (1, 2):
-        for start in range(len(_PRIMES) - take + 1):
-            moduli = list(_PRIMES[start : start + take])
-            runs = [_modular_nullspace(p) for p in moduli]
-            frees = [r[1] for r in runs]
-            if any(len(f) != DIM_DER for f in frees):
-                continue
-            if any(f != frees[0] for f in frees[1:]):
-                continue
-            lifted = _lift_vectors([r[2] for r in runs], moduli)
-            if lifted is not None:
-                return lifted
-            last = (frees[0], runs[0][2])
-    raise RuntimeError(
-        "rational reconstruction of the derivation basis failed"
-        + ("" if last is None else " (modular nullspace had the right shape)")
-    )
+    """Solve the Leibniz system exactly; its rank must be RANK_TARGET."""
+    rank, vecs = sparse_nullspace(_equation_rows(), N_UNKNOWNS)
+    if rank != RANK_TARGET:
+        raise RuntimeError(f"Leibniz system has rank {rank}, expected {RANK_TARGET}")
+    return vecs
 
 
 def derivation_basis() -> List[Derivation]:
@@ -424,35 +306,39 @@ def derivation_basis() -> List[Derivation]:
     the Leibniz system.  Either way every matrix is re-certified in exact
     arithmetic before being returned, so a stale or corrupt cache can only
     cause recomputation, never a wrong answer; a fresh solve rewrites the
-    cache, so the next load finds it sound again.
+    cache, so the next load finds it sound again.  A cache location that
+    cannot be written costs a warning, not the solved basis.
     """
     global _BASIS, _FREE_COLS
     if _BASIS is not None:
         return list(_BASIS)
 
     path = _cache_path()
+    mats = _read_cache(path)
     flat: Optional[List[List[Fraction]]] = None
-    cached = _read_cache(path)
-    if cached is not None and len(cached) == DIM_DER:
-        flat = [[m.data[r][c] for r in range(N_A) for c in range(N_A)] for m in cached]
-    if flat is not None and not _certified(flat):
-        flat = None
+    if mats is not None:
+        flat = [[x for row in m.data for x in row] for m in mats]
+        if not _certified(flat):
+            flat = None
     solved = flat is None
     if solved:
         flat = _compute_basis_fresh()
         if not _certified(flat):
-            raise AssertionError("lifted derivation basis failed exact certification")
+            raise AssertionError("solved derivation basis failed exact certification")
 
     free = _free_columns(flat)
     if free is None:
         raise AssertionError("derivation basis lost its echelon marker columns")
 
-    mats = [
-        RatMatrix.from_rows([vec[N_A * r : N_A * (r + 1)] for r in range(N_A)])
-        for vec in flat
-    ]
     if solved:
-        _write_cache(path, mats)
+        mats = [
+            RatMatrix.from_rows([vec[N_A * r : N_A * (r + 1)] for r in range(N_A)])
+            for vec in flat
+        ]
+        try:
+            _write_cache(path, mats)
+        except OSError as exc:
+            warnings.warn(f"derivation basis not cached at {path}: {exc}", RuntimeWarning)
     _FREE_COLS = free
     _BASIS = [Derivation(m) for m in mats]
     return list(_BASIS)

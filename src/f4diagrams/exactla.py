@@ -4,6 +4,8 @@
 guarantees lowest terms, a positive denominator and arbitrary precision.
 ``RatMatrix`` is a small dense row-major matrix with the three kernel
 operations everything else needs: rank, nullspace and linear solve.
+``sparse_nullspace`` finds rank and nullspace of a large sparse system
+given row by row, with the same reduced-echelon conventions.
 
 No floating point anywhere; every comparison in this package is exact.
 """
@@ -11,7 +13,7 @@ No floating point anywhere; every comparison in this package is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Rational = Fraction
 
@@ -61,10 +63,15 @@ class RatMatrix:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        return cls(len(rows), ncols, [[Fraction(x) for x in r] for r in rows])
+    def from_rows(cls, rows: Iterable[Iterable]) -> "RatMatrix":
+        # Converts each entry once; __init__ would convert it a second time.
+        data = [[Fraction(x) for x in r] for r in rows]
+        ncols = len(data[0]) if data else 0
+        if any(len(r) != ncols for r in data):
+            raise ValueError("shape mismatch")
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.data = len(data), ncols, data
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
@@ -102,12 +109,9 @@ class RatMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "RatMatrix":
-        rows = [
-            [Fraction(tok) for tok in line.split()]
-            for line in text.strip().splitlines()
-            if line.strip()
-        ]
-        return cls.from_rows(rows)
+        return cls.from_rows(
+            line.split() for line in text.strip().splitlines() if line.strip()
+        )
 
     def mul_vec(self, v: Sequence[Fraction]) -> List[Fraction]:
         if len(v) != self.cols:
@@ -219,6 +223,58 @@ class RatMatrix:
         if pivots != list(range(n)):
             raise ValueError("singular matrix")
         return RatMatrix(n, n, [row[n:] for row in m])
+
+
+def _sub_scaled(row: Dict[int, Fraction], f: Fraction, prow: Mapping[int, Fraction]) -> None:
+    """row -= f * prow on sparse rows, dropping entries that cancel."""
+    for c, v in prow.items():
+        x = row.get(c, ZERO) - f * v
+        if x:
+            row[c] = x
+        else:
+            del row[c]
+
+
+def sparse_nullspace(
+    rows: Iterable[Mapping[int, Fraction]], ncols: int
+) -> Tuple[int, List[List[Fraction]]]:
+    """Rank and right nullspace of a sparse system, exactly.
+
+    Each row is a mapping column -> value (zero values allowed).  Every
+    row is reduced by the pivot rows found so far, leading column first;
+    what is left either vanishes or becomes a new pivot row, scaled to a
+    leading 1.  Back-substitution then brings the pivot rows to reduced
+    echelon form, so the vectors (one per free column, in column order)
+    are the ones :meth:`RatMatrix.nullspace` returns for the same system.
+    """
+    pivots: Dict[int, Dict[int, Fraction]] = {}
+    for src in rows:
+        row = {c: Fraction(v) for c, v in src.items() if v}
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                inv = 1 / row[lead]
+                pivots[lead] = {c: v * inv for c, v in row.items()}
+                break
+            _sub_scaled(row, row[lead], prow)
+    # Later pivot rows hold no other pivot column, so clearing them from a
+    # row in any order brings in free columns only.
+    for lead in sorted(pivots, reverse=True):
+        prow = pivots[lead]
+        for c in [c for c in prow if c != lead and c in pivots]:
+            _sub_scaled(prow, prow[c], pivots[c])
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [ZERO] * ncols
+        v[fc] = ONE
+        for pc, prow in pivots.items():
+            if fc in prow:
+                v[pc] = -prow[fc]
+        basis.append(v)
+    return len(pivots), basis
 
 
 def rank(m: RatMatrix) -> int:

@@ -1,7 +1,10 @@
 """Derivation Lie algebra: certified basis, span membership, cache behavior."""
 
+import hashlib
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,8 +14,9 @@ from f4diagrams.albert import AlbertElement, alb_trace, coords_A, jordan
 from f4diagrams.exactla import RatMatrix
 from f4diagrams.octonion import Octonion
 
-PRIME = 67108859
-
+# sha256 of a solved basis, entry by entry, as bench/worker.py's basis_digest
+# hashes it; a change of echelon convention or of basis changes it.
+BASIS_DIGEST = "9b1e0718fdb7b914063bc77e4a0df0c191d09a1db17249b620acf4aba336c614"
 
 def _random_albert(rng):
     diag = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
@@ -76,13 +80,6 @@ def test_restricted_basis_shape():
     assert all((m.rows, m.cols) == (26, 26) for m in restricted)
 
 
-def test_rational_reconstruction():
-    assert dv._ratrec(5, PRIME) == Fraction(5)
-    assert dv._ratrec(PRIME - 3, PRIME) == Fraction(-3)
-    assert dv._ratrec(pow(2, PRIME - 2, PRIME), PRIME) == Fraction(1, 2)
-    assert dv._ratrec(123456789 % PRIME, PRIME) is None
-
-
 def test_cache_round_trip():
     first = dv.derivation_basis()
     path = dv._cache_path()
@@ -127,3 +124,64 @@ def test_tampered_cache_is_repaired():
     repaired = dv._read_cache(path)
     assert dv._certified(_flat(repaired))
     assert not any(name.endswith(".tmp") for name in os.listdir(os.path.dirname(path)))
+
+
+def test_undecodable_cache_is_repaired():
+    basis = dv.derivation_basis()
+    path = dv._cache_path()
+    with open(path, "wb") as fh:
+        fh.write(b"fingerprint \xff\xfe\n")
+    assert dv._read_cache(path) is None
+    _reset_memo()
+    recomputed = dv.derivation_basis()
+    assert all(x.matrix.data == y.matrix.data for x, y in zip(basis, recomputed))
+    assert dv._certified(_flat(dv._read_cache(path)))
+
+
+def test_unwritable_cache_still_returns_the_basis(tmp_path, monkeypatch):
+    basis = dv.derivation_basis()
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setenv(dv.CACHE_ENV, str(blocker))
+    _reset_memo()
+    try:
+        with pytest.warns(RuntimeWarning, match="not cached"):
+            solved = dv.derivation_basis()
+    finally:
+        _reset_memo()
+    assert all(x.matrix.data == y.matrix.data for x, y in zip(basis, solved))
+
+
+def test_cold_solve_digest(tmp_path, monkeypatch):
+    monkeypatch.setenv(dv.CACHE_ENV, str(tmp_path))
+    _reset_memo()
+    try:
+        basis = dv.derivation_basis()
+    finally:
+        _reset_memo()
+    assert os.path.exists(tmp_path / "derivation_basis.txt")
+    h = hashlib.sha256()
+    for d in basis:
+        for row in d.matrix.data:
+            h.update(" ".join(str(Fraction(x)) for x in row).encode("ascii"))
+            h.update(b"\n")
+        h.update(b"\n")
+    assert h.hexdigest() == BASIS_DIGEST
+
+
+def test_cold_solve_imports_no_numpy(tmp_path):
+    env = dict(os.environ, F4DIAGRAMS_CACHE_DIR=str(tmp_path))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import sys\n"
+        "from f4diagrams.derivations import derivation_basis\n"
+        "assert len(derivation_basis()) == 52\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+    assert os.path.exists(tmp_path / "derivation_basis.txt")

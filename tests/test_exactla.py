@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from f4diagrams.exactla import (
     InconsistentSystem,
@@ -12,6 +13,7 @@ from f4diagrams.exactla import (
     rat_from_str,
     rat_to_str,
     solve,
+    sparse_nullspace,
 )
 
 
@@ -89,3 +91,35 @@ def test_random_inverse_round_trip():
             continue
         assert m.matmul(m.inverse()) == RatMatrix.identity(3)
         checked += 1
+
+
+@st.composite
+def _sparse_systems(draw):
+    """Up to 12 rows over up to 8 columns, entries -3..3, mostly zero.
+
+    Rows are drawn from a small pool, so duplicate and zero rows are common.
+    """
+    ncols = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.integers(-3, 3))
+    pool = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+    return ncols, [pool[i] for i in picks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_systems())
+def test_sparse_nullspace_matches_dense_rref(case):
+    ncols, rows = case
+    dense = RatMatrix.from_rows(rows)
+    got_rank, got = sparse_nullspace(({c: v for c, v in enumerate(r)} for r in rows), ncols)
+    assert got_rank == dense.rank()
+    assert got == dense.nullspace()
+
+
+def test_sparse_nullspace_of_no_rows_is_everything():
+    assert sparse_nullspace([], 2) == (0, [[1, 0], [0, 1]])
+
+
+def test_from_rows_rejects_ragged_rows():
+    with pytest.raises(ValueError):
+        RatMatrix.from_rows([[1, 2], [3]])
