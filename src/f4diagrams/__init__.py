@@ -5,7 +5,8 @@ Layers, bottom to top:
 * ``exactla``    -- rationals, matrices, rank/nullspace/solve
 * ``ratfield``   -- the coefficient field Q(a, d) of rational functions
 * ``octonion``   -- the 8-dimensional composition algebra over Q
-* ``albert``     -- the 27-dim exceptional Jordan algebra, trace form, bases
+* ``albert``     -- the 27-dim exceptional Jordan algebra, trace form, bases,
+                   the one table of structure constants
 * ``diagram``    -- string-diagram terms, combos, parser, rot/switch/mirror
 * ``functor``    -- evaluation of diagrams as exact multilinear maps on V^(n)
 * ``relations``  -- the relation catalog and the exact verifier

@@ -21,7 +21,16 @@ V = ker(tr) is 26-dimensional; its fixed rational basis is
 
 An orthonormal basis would need sqrt(2) and sqrt(6); staying rational and
 inverting the Gram matrix for the dual basis keeps every downstream tensor
-in Q.
+in Q.  This module alone knows that convention: ``_V_IN_A`` writes each
+basis_V vector in basis_A coordinates, and ``_A_TO_V`` reads the basis_V
+coordinates of a traceless element off its basis_A coordinates.
+
+The structure constants of the product on basis_A are computed once, by
+``jordan`` on the 378 unordered pairs of basis units, and kept as ints over
+the one denominator ``_JORDAN_DEN`` (every constant is 1 or +-1/2).  Every
+other table of the package -- the generator tensors on V, the Leibniz
+system of the derivations -- is a sparse linear consequence of that table
+and these two index maps.
 
 Diagonal entries are always Fractions.  ``AlbertElement(diag, off)``
 coerces and validates its arguments; the linear structure, the product
@@ -31,9 +40,8 @@ which takes a tuple of 3 Fractions and a tuple of 3 Octonions as they are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactla import RatMatrix
 from .octonion import Octonion, oct_from_str, oct_to_str
@@ -216,15 +224,19 @@ def project_v(a: AlbertElement) -> AlbertElement:
 # ---------------------------------------------------------------------------
 
 
+#: the V-basis convention as index arithmetic on basis_A coordinates.
+#: _V_IN_A[j] lists (r, s): b_j of basis_V = sum s * (unit r of basis_A);
+#: _A_TO_V[i] = (r, s): coordinate i of a traceless element in basis_V is
+#: s * its coordinate r in basis_A.
+_V_IN_A: Tuple[Tuple[Tuple[int, int], ...], ...] = (
+    ((0, 1), (1, -1)),
+    ((1, 1), (2, -1)),
+) + tuple(((r, 1),) for r in range(3, 27))
+_A_TO_V: Tuple[Tuple[int, int], ...] = ((0, 1), (2, -1)) + tuple((r, 1) for r in range(3, 27))
+
+
 def basis_V() -> List[AlbertElement]:
-    out = [
-        AlbertElement((1, -1, 0)),
-        AlbertElement((0, 1, -1)),
-    ]
-    for slot in (1, 2, 3):
-        for u in range(8):
-            out.append(AlbertElement.off_unit(slot, Octonion.unit(u)))
-    return out
+    return [from_coords_V([ONE if k == j else ZERO for k in range(26)]) for j in range(26)]
 
 
 def basis_A() -> List[AlbertElement]:
@@ -242,26 +254,59 @@ def coords_A(a: AlbertElement) -> List[Fraction]:
     return out
 
 
+def _from_coords_A(coords: Sequence) -> AlbertElement:
+    """The element with these 27 coordinates in basis_A (inverse of coords_A)."""
+    return AlbertElement(coords[:3], [Octonion(coords[3 + 8 * s : 11 + 8 * s]) for s in range(3)])
+
+
 def coords_V(a: AlbertElement) -> List[Fraction]:
     """Coordinates in basis_V; requires tr(a) = 0."""
-    l1, l2, l3 = a.diag
-    if l1 + l2 + l3 != 0:
+    if alb_trace(a) != 0:
         raise ValueError("element is not traceless")
-    out = [l1, -l3]
-    for x in a.off:
-        out.extend(x.coords)
-    return out
+    c = coords_A(a)
+    return [s * c[r] for r, s in _A_TO_V]
 
 
 def from_coords_V(coords: Sequence) -> AlbertElement:
     coords = [Fraction(c) for c in coords]
     if len(coords) != 26:
         raise ValueError("need 26 coordinates")
-    c0, c1 = coords[0], coords[1]
-    offs = []
-    for slot in range(3):
-        offs.append(Octonion(coords[2 + 8 * slot : 10 + 8 * slot]))
-    return AlbertElement((c0, c1 - c0, -c1), offs)
+    x = [ZERO] * 27
+    for v, col in zip(coords, _V_IN_A):
+        for r, s in col:
+            x[r] += s * v
+    return _from_coords_A(x)
+
+
+# ---------------------------------------------------------------------------
+# structure constants
+# ---------------------------------------------------------------------------
+
+#: every structure constant of the product on basis_A is n / _JORDAN_DEN
+_JORDAN_DEN = 2
+_TABLE: Optional[Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]]] = None
+
+
+def _structure_table() -> Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]]:
+    """The Jordan product on basis_A as ints over _JORDAN_DEN, built once.
+
+    T[(p, q)], for every p <= q, lists (r, n) in ascending r with
+    b_p o b_q = sum (n / _JORDAN_DEN) b_r (an empty tuple for a zero
+    product); the product is symmetric, so T[(q, p)] is not stored.
+    """
+    global _TABLE
+    if _TABLE is None:
+        bas = basis_A()
+        table = {}
+        for p in range(27):
+            for q in range(p, 27):
+                coords = coords_A(jordan(bas[p], bas[q]))
+                scaled = [c * _JORDAN_DEN for c in coords]
+                if any(c.denominator != 1 for c in scaled):
+                    raise AssertionError("structure constant is not a multiple of 1/_JORDAN_DEN")
+                table[(p, q)] = tuple((r, c.numerator) for r, c in enumerate(scaled) if c)
+        _TABLE = table
+    return _TABLE
 
 
 class ModuleVector:
@@ -314,48 +359,6 @@ def left_mult_matrix(a: AlbertElement) -> RatMatrix:
 def left_mult_trace(a: AlbertElement) -> Fraction:
     m = left_mult_matrix(a)
     return sum((m.data[i][i] for i in range(27)), ZERO)
-
-
-@dataclass(frozen=True)
-class BasisData:
-    basis: Tuple[AlbertElement, ...]
-    dual: Tuple[AlbertElement, ...]
-    gram: RatMatrix
-    gram_inv: RatMatrix
-
-
-def build_basis() -> BasisData:
-    """Fixed rational basis of V, its Gram matrix under B, and the dual basis.
-
-    Fails hard if the Gram matrix were singular (it is positive definite,
-    so singularity would mean an implementation bug upstream).
-    """
-    bas = basis_V()
-    n = len(bas)
-    gram = RatMatrix(n, n)
-    for i in range(n):
-        for j in range(i, n):
-            v = bform(bas[i], bas[j])
-            gram.data[i][j] = v
-            gram.data[j][i] = v
-    gram_inv = gram.inverse()  # raises on singular
-    dual = []
-    for i in range(n):
-        acc = AlbertElement.zero()
-        for j in range(n):
-            c = gram_inv.data[i][j]
-            if c:
-                acc = acc + bas[j].scale(c)
-        dual.append(acc)
-    for i in range(n):
-        for j in range(n):
-            expected = ONE if i == j else ZERO
-            if bform(dual[i], bas[j]) != expected:
-                raise AssertionError("dual basis defect — Gram inversion bug")
-    total = sum((bform(b, d) for b, d in zip(bas, dual)), ZERO)
-    if total != 26:
-        raise AssertionError("sum B(b, b~) must equal dim V = 26")
-    return BasisData(tuple(bas), tuple(dual), gram, gram_inv)
 
 
 def dual_basis_A() -> Tuple[List[AlbertElement], List[AlbertElement]]:

@@ -24,10 +24,16 @@ as plain text (one 27x27 block of rationals per derivation) under
 F4DIAGRAMS_CACHE_DIR, default ~/.cache/f4diagrams; a fingerprint of the
 structure constants guards the cache against basis-convention drift.
 
-check_equivariance() restricts each derivation to the traceless part V and
-verifies, exactly, that the three generator tensors are infinitesimally
-invariant: the product tensor satisfies the Leibniz rule, the pairing is
-skew under (D x 1 + 1 x D), and the copairing is annihilated by it.
+The Leibniz system, its certificate and the fingerprint all read the one
+table of Jordan structure constants that ``albert`` builds, as ints over
+its denominator.
+
+check_equivariance() restricts each derivation to the traceless part V by
+index arithmetic and verifies, exactly, that the three generator tensors
+are infinitesimally invariant: the product tensor satisfies the Leibniz
+rule, the pairing is skew under (D x 1 + 1 x D), and the copairing is
+annihilated by it.  Each restricted D is an integer 1->1 node, and each
+identity is a sum of networks decided by the evaluator's one contractor.
 """
 
 from __future__ import annotations
@@ -42,15 +48,15 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .albert import (
+    _A_TO_V,
+    _JORDAN_DEN,
+    _V_IN_A,
     AlbertElement,
-    basis_A,
-    basis_V,
+    _from_coords_A,
+    _structure_table,
     coords_A,
-    coords_V,
-    jordan,
 )
 from .exactla import RatMatrix, sparse_nullspace
-from .octonion import Octonion
 
 N_A = 27
 N_UNKNOWNS = N_A * N_A
@@ -59,8 +65,6 @@ RANK_TARGET = N_UNKNOWNS - DIM_DER
 
 CACHE_ENV = "F4DIAGRAMS_CACHE_DIR"
 _CACHE_FILE = "derivation_basis.txt"
-
-F0 = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -73,49 +77,36 @@ class Derivation:
         return self.matrix.mul_vec(list(coords))
 
     def apply(self, a: AlbertElement) -> AlbertElement:
-        return _element_from_coords(self.apply_coords(coords_A(a)))
-
-
-def _element_from_coords(coords: Sequence[Fraction]) -> AlbertElement:
-    if len(coords) != N_A:
-        raise ValueError("need 27 coordinates")
-    offs = [Octonion(coords[3 + 8 * s : 11 + 8 * s]) for s in range(3)]
-    return AlbertElement(tuple(coords[:3]), offs)
+        return _from_coords_A(self.apply_coords(coords_A(a)))
 
 
 # ---------------------------------------------------------------------------
 # structure constants of the Jordan product on the fixed basis
 # ---------------------------------------------------------------------------
 
-_TABLES: Optional[Tuple[dict, dict]] = None
+_TRANS: Optional[dict] = None
 
 
 def _structure_tables() -> Tuple[dict, dict]:
-    """Sparse product table P[(i,j)] (i <= j) and its slice index PT.
+    """The product table P and its slice index PT, ints over _JORDAN_DEN.
 
-    P[(i,j)] lists (k, c) with (b_i o b_j) having coordinate c at b_k.
-    PT[(j,k)] lists (r, c) with (b_r o b_j) having coordinate c at b_k,
+    P is ``albert``'s table: P[(i,j)] (i <= j) lists (k, n) with
+    (b_i o b_j) having coordinate n / _JORDAN_DEN at b_k.  PT[(j,k)] lists
+    (r, n) with (b_r o b_j) having coordinate n / _JORDAN_DEN at b_k,
     ranging over all r — the transpose view needed to assemble Leibniz
-    rows without rescanning the table.
+    rows without rescanning the table.  PT is built once.
     """
-    global _TABLES
-    if _TABLES is not None:
-        return _TABLES
-    bas = basis_A()
-    prod: Dict[Tuple[int, int], Tuple[Tuple[int, Fraction], ...]] = {}
-    trans: Dict[Tuple[int, int], List[Tuple[int, Fraction]]] = {}
-    for i in range(N_A):
-        for j in range(i, N_A):
-            coords = coords_A(jordan(bas[i], bas[j]))
-            entries = tuple((k, c) for k, c in enumerate(coords) if c)
-            prod[(i, j)] = entries
-            for k, c in entries:
-                trans.setdefault((j, k), []).append((i, c))
+    global _TRANS
+    prod = _structure_table()
+    if _TRANS is None:
+        trans: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        for (i, j), entries in prod.items():
+            for k, n in entries:
+                trans.setdefault((j, k), []).append((i, n))
                 if i != j:
-                    trans.setdefault((i, k), []).append((j, c))
-    trans_frozen = {key: tuple(sorted(val)) for key, val in trans.items()}
-    _TABLES = (prod, trans_frozen)
-    return _TABLES
+                    trans.setdefault((i, k), []).append((j, n))
+        _TRANS = {key: tuple(sorted(val)) for key, val in trans.items()}
+    return prod, _TRANS
 
 
 def _conventions_fingerprint() -> str:
@@ -123,34 +114,35 @@ def _conventions_fingerprint() -> str:
     prod, _ = _structure_tables()
     lines = []
     for (i, j) in sorted(prod):
-        for k, c in prod[(i, j)]:
-            lines.append(f"{i} {j} {k} {c}")
+        for k, n in prod[(i, j)]:
+            lines.append(f"{i} {j} {k} {Fraction(n, _JORDAN_DEN)}")
     blob = "jordan-structure-v1\n" + "\n".join(lines)
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
-def _equation_rows() -> Iterator[Dict[int, Fraction]]:
+def _equation_rows() -> Iterator[Dict[int, int]]:
     """Sparse rows {column: coefficient} of the Leibniz system, one at a time.
 
     Unknown (r, c) — entry D[r][c] — lives at column 27*r + c.  For each
     basis pair i <= j and each target coordinate k the row encodes
-    (D(b_i o b_j))_k - (D(b_i) o b_j)_k - (b_i o D(b_j))_k = 0.
+    (D(b_i o b_j))_k - (D(b_i) o b_j)_k - (b_i o D(b_j))_k = 0, times
+    _JORDAN_DEN so that its coefficients are ints.
     """
     prod, trans = _structure_tables()
     for i in range(N_A):
         for j in range(i, N_A):
             pij = prod[(i, j)]
             for k in range(N_A):
-                acc: Dict[int, Fraction] = {}
-                for m, c in pij:
+                acc: Dict[int, int] = {}
+                for m, n in pij:
                     key = N_A * k + m
-                    acc[key] = acc.get(key, F0) + c
-                for r, c in trans.get((j, k), ()):
+                    acc[key] = acc.get(key, 0) + n
+                for r, n in trans.get((j, k), ()):
                     key = N_A * r + i
-                    acc[key] = acc.get(key, F0) - c
-                for r, c in trans.get((i, k), ()):
+                    acc[key] = acc.get(key, 0) - n
+                for r, n in trans.get((i, k), ()):
                     key = N_A * r + j
-                    acc[key] = acc.get(key, F0) - c
+                    acc[key] = acc.get(key, 0) - n
                 yield acc
 
 
@@ -167,19 +159,17 @@ def _certify_leibniz(rows: List[List[Fraction]]) -> bool:
         for v in row:
             den = den * v.denominator // math.gcd(den, v.denominator)
     di = [[int(v * den) for v in row] for row in rows]
-    prod2 = {key: tuple((m, int(2 * c)) for m, c in val) for key, val in prod.items()}
-    trans2 = {key: tuple((r, int(2 * c)) for r, c in val) for key, val in trans.items()}
     for i in range(N_A):
         for j in range(i, N_A):
-            pij = prod2[(i, j)]
+            pij = prod[(i, j)]
             for k in range(N_A):
                 lhs = 0
                 for m, c in pij:
                     lhs += di[k][m] * c
                 rhs = 0
-                for r, c in trans2.get((j, k), ()):
+                for r, c in trans.get((j, k), ()):
                     rhs += di[r][i] * c
-                for r, c in trans2.get((i, k), ()):
+                for r, c in trans.get((i, k), ()):
                     rhs += di[r][j] * c
                 if lhs != rhs:
                     return False
@@ -411,101 +401,78 @@ def check_bracket_closure(
 
 
 def restricted_basis() -> List[RatMatrix]:
-    """The 52 derivations as 26x26 matrices on V (they preserve ker tr)."""
+    """The 52 derivations as 26x26 matrices on V.
+
+    A derivation maps every basis element to a traceless one (the
+    certificate checks it), so it preserves V = ker tr, and its matrix on
+    basis_V is index arithmetic on the nonzero entries of its 27x27 matrix:
+    the rows are read by ``albert._A_TO_V`` and the columns rewritten by
+    ``albert._V_IN_A``.
+    """
     global _RESTRICTED
-    if _RESTRICTED is not None:
-        return list(_RESTRICTED)
-    basis = derivation_basis()
-    bv = basis_V()
-    cols_in = [coords_A(v) for v in bv]
-    out: List[RatMatrix] = []
-    for d in basis:
-        m = RatMatrix(26, 26)
-        for j, coords in enumerate(cols_in):
-            w = d.matrix.mul_vec(coords)
-            wcoords = coords_V(_element_from_coords(w))  # raises unless traceless
-            for i, val in enumerate(wcoords):
-                m.data[i][j] = val
-        out.append(m)
-    _RESTRICTED = out
-    return list(out)
+    if _RESTRICTED is None:
+        v_cols: Dict[int, List[Tuple[int, int]]] = {}  # A column -> (V column, sign)
+        for j, col in enumerate(_V_IN_A):
+            for q, t in col:
+                v_cols.setdefault(q, []).append((j, t))
+        out = []
+        for d in derivation_basis():
+            m = RatMatrix(26, 26)
+            for i, (r, s) in enumerate(_A_TO_V):
+                for q, v in enumerate(d.matrix.data[r]):
+                    if v:
+                        for j, t in v_cols[q]:
+                            m.data[i][j] += s * t * v
+            out.append(m)
+        _RESTRICTED = out
+    return list(_RESTRICTED)
 
 
 def check_equivariance() -> Dict[str, object]:
     """Exact infinitesimal invariance of the product, pairing and copairing.
 
-    For each of the 52 restricted derivations D:
-      * merge: D(v_i . v_j) = (D v_i) . v_j + v_i . (D v_j) on all 676 pairs;
-      * cap:   B(D v_i, v_j) + B(v_i, D v_j) = 0, i.e. G D + (G D)^T = 0;
-      * cup:   (D x 1 + 1 x D) applied to the copairing tensor vanishes.
+    Each of the 52 restricted derivations D becomes an integer 1->1 node,
+    keyed (input, output), and each identity is a sum of networks over it
+    and the generator nodes, contracted and summed by ``contract_sum``;
+    it holds when the sum is empty, on every basis input:
+      * merge: D . merge - merge . (D x 1) - merge . (1 x D) = 0;
+      * cap:   cap . (D x 1 + 1 x D) = 0;
+      * cup:   (D x 1 + 1 x D) . cup = 0.
     """
-    from .functor import generator_tensors
+    from .diagram import CAP, CUP, MERGE
+    from .functor import _scaled, contract_sum, generator_tensors
 
-    gens = generator_tensors()
-    merge_out = gens.merge_out
+    nodes = generator_tensors().nodes
+    merge, cap, cup = nodes[MERGE], nodes[CAP], nodes[CUP]
     restricted = restricted_basis()
-
-    cols: List[Dict[int, List[Tuple[int, Fraction]]]] = []
+    x, y, z, w = range(4)  # boundary wires x, y, z; w is contracted
+    ok = {"merge": True, "cap": True, "cup": True}
     for m in restricted:
-        col: Dict[int, List[Tuple[int, Fraction]]] = {}
-        for r in range(26):
-            row = m.data[r]
-            for c in range(26):
-                if row[c]:
-                    col.setdefault(c, []).append((r, row[c]))
-        cols.append(col)
+        d = _scaled({(j, i): v for i, row in enumerate(m.data) for j, v in enumerate(row) if v})
+        identities = {
+            "merge": ((x, y, z), [
+                (1, [((x, y, w), merge), ((w, z), d)]),
+                (-1, [((x, w), d), ((w, y, z), merge)]),
+                (-1, [((y, w), d), ((x, w, z), merge)]),
+            ]),
+            "cap": ((x, y), [
+                (1, [((x, w), d), ((w, y), cap)]),
+                (1, [((y, w), d), ((x, w), cap)]),
+            ]),
+            "cup": ((x, y), [
+                (1, [((w, y), cup), ((w, x), d)]),
+                (1, [((x, w), cup), ((w, y), d)]),
+            ]),
+        }
+        for name, (boundary, parts) in identities.items():
+            ok[name] = ok[name] and not contract_sum(parts, boundary)[1]
 
-    merge_ok = True
-    for col in cols:
-        for i in range(26):
-            for j in range(26):
-                acc: Dict[int, Fraction] = {}
-                for a, c in col.get(i, ()):
-                    for k, w in merge_out.get((a, j), ()):
-                        acc[k] = acc.get(k, F0) + c * w
-                for b, c in col.get(j, ()):
-                    for k, w in merge_out.get((i, b), ()):
-                        acc[k] = acc.get(k, F0) + c * w
-                for k, w in merge_out.get((i, j), ()):
-                    for a, c in col.get(k, ()):
-                        acc[a] = acc.get(a, F0) - w * c
-                if any(acc.values()):
-                    merge_ok = False
-        if not merge_ok:
-            break
-
-    gram = gens.basisdata.gram
-    cap_ok = True
-    for m in restricted:
-        gd = gram.matmul(m)
-        for i in range(26):
-            for j in range(26):
-                if gd.data[i][j] + gd.data[j][i] != 0:
-                    cap_ok = False
-        if not cap_ok:
-            break
-
-    cup_ok = True
-    for col in cols:
-        acc = {}
-        for i, j, c in gens.cup_out:
-            for a, w in col.get(i, ()):
-                key = (a, j)
-                acc[key] = acc.get(key, F0) + w * c
-            for b, w in col.get(j, ()):
-                key = (i, b)
-                acc[key] = acc.get(key, F0) + w * c
-        if any(acc.values()):
-            cup_ok = False
-            break
-
-    holds = merge_ok and cap_ok and cup_ok
     return {
-        "holds": holds,
+        "holds": all(ok.values()),
         "derivations": len(restricted),
-        "merge_ok": merge_ok,
-        "cap_ok": cap_ok,
-        "cup_ok": cup_ok,
+        "merge_ok": ok["merge"],
+        "cap_ok": ok["cap"],
+        "cup_ok": ok["cup"],
         "pairs_checked": 676,
     }
 

@@ -82,9 +82,6 @@ class RatMatrix:
 
     # -- basics ------------------------------------------------------------
 
-    def copy(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, [row[:] for row in self.data])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]

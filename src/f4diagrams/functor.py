@@ -19,7 +19,9 @@ none); ``scan_basis`` counts each input's nonzero outputs in that same
 tensor; ``apply_combo_to_basis`` and ``apply_term_sparse`` add one more
 node, the input state, on the input wires and keep only the outputs.  A
 creation-order strategy exists solely so tests can confirm the result is
-order-independent.
+order-independent.  ``contract_sum`` opens the same contractor to networks
+of raw integer nodes: the split table is contracted from cup and merge with
+it, and ``derivations`` checks equivariance with it.
 
 States and tensors are sparse dictionaries keyed by index tuples.  Inside
 the module the values are Python ints over one scale per term: each
@@ -39,7 +41,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .albert import build_basis, coords_V, jordan, project_v
+from .albert import _A_TO_V, _JORDAN_DEN, _V_IN_A, _structure_table
 from .diagram import (
     CAP,
     CROSS,
@@ -57,6 +59,7 @@ from .diagram import (
     tensor_all,
     to_layers,
 )
+from .exactla import RatMatrix
 
 ZERO = Fraction(0)
 DIM = 26
@@ -64,6 +67,7 @@ DIM = 26
 Sparse = Dict[Tuple[int, ...], Fraction]
 IntSparse = Dict[Tuple[int, ...], int]
 Scaled = Tuple[int, IntSparse]  # (scale, integer tensor): the exact tensor is tensor / scale
+Node = Tuple[Sequence[int], Scaled]  # (wire ids, one per tensor index position; tensor)
 
 #: largest number of entries a whole-term tensor may have once the boundary
 #: wires that no node touches (through strands) are expanded over all DIM
@@ -83,6 +87,12 @@ def _over(c: Fraction, scale: int) -> int:
     return c.numerator * (scale // c.denominator)
 
 
+def _scaled(table: Dict[Tuple[int, ...], Fraction]) -> Scaled:
+    """A Fraction table as (scale, ints), scale the least common denominator."""
+    scale = lcm(*{c.denominator for c in table.values()})
+    return scale, {ports: _over(c, scale) for ports, c in table.items()}
+
+
 class GeneratorTensors:
     """Sparse tables for the five generators.
 
@@ -93,6 +103,12 @@ class GeneratorTensors:
     cup_out           -> ((i, j, c), ...):         inverse Gram entries
     cap_val[(i,j)]    -> tr(b_i o b_j):            Gram entries
 
+    They are derived, not multiplied out: merge and cap change the Jordan
+    structure constants of ``albert`` to basis_V and project to V (merge)
+    or take the trace (cap); cup is the inverse of the Gram matrix, checked
+    exactly; and split is contracted as the network (cup @ 1) ; (1 @ merge),
+    which is b_k -> sum_i b_i (x) pi(b~_i o b_k) for the dual basis b~.
+
     ``nodes[g]`` is ``(scale, tensor)`` for each generator that becomes a
     network node (a crossing only permutes wires): the table of g keyed by
     the node's ports in order, inputs then outputs -- ``(i, j, k)`` for
@@ -101,31 +117,37 @@ class GeneratorTensors:
     are ints.  The contractor reads only these.
     """
 
-    __slots__ = ("merge_out", "split_out", "cup_out", "cap_val", "basisdata", "nodes")
+    __slots__ = ("merge_out", "split_out", "cup_out", "cap_val", "nodes")
 
     def __init__(self):
-        bd = build_basis()
-        bas, dual, gram, ginv = bd.basis, bd.dual, bd.gram, bd.gram_inv
-
+        table = _structure_table()
         merge_out: Dict[Tuple[int, int], Tuple[Tuple[int, Fraction], ...]] = {}
+        gram = RatMatrix(DIM, DIM)
         for i in range(DIM):
             for j in range(i, DIM):
-                w = coords_V(project_v(jordan(bas[i], bas[j])))
-                nz = tuple((k, c) for k, c in enumerate(w) if c)
+                # b_i o b_j in basis_A coordinates, over _JORDAN_DEN
+                x = [0] * 27
+                for p, s in _V_IN_A[i]:
+                    for q, t in _V_IN_A[j]:
+                        for r, n in table[(p, q) if p <= q else (q, p)]:
+                            x[r] += s * t * n
+                tr = x[0] + x[1] + x[2]
+                gram.data[i][j] = gram.data[j][i] = Fraction(tr, _JORDAN_DEN)
+                # pi(x) = x - (tr/3) 1, over 3 * _JORDAN_DEN, then to basis_V
+                y = [3 * n - (tr if r < 3 else 0) for r, n in enumerate(x)]
+                nz = tuple(
+                    (k, Fraction(s * y[r], 3 * _JORDAN_DEN))
+                    for k, (r, s) in enumerate(_A_TO_V)
+                    if y[r]
+                )
                 if nz:
                     merge_out[(i, j)] = nz
                     if i != j:
                         merge_out[(j, i)] = nz
 
-        split_out: Dict[int, Tuple[Tuple[int, int, Fraction], ...]] = {}
-        for k in range(DIM):
-            acc: List[Tuple[int, int, Fraction]] = []
-            for i in range(DIM):
-                w = coords_V(project_v(jordan(dual[i], bas[k])))
-                acc.extend((i, j, c) for j, c in enumerate(w) if c)
-            if acc:
-                split_out[k] = tuple(acc)
-
+        ginv = gram.inverse()  # raises on singular
+        if gram.matmul(ginv) != RatMatrix.identity(DIM):
+            raise AssertionError("Gram inversion defect")
         cup_out = tuple(
             (i, j, ginv.data[i][j])
             for i in range(DIM)
@@ -139,22 +161,27 @@ class GeneratorTensors:
             if gram.data[i][j]
         }
 
-        by_ports = {
-            MERGE: {(i, j, k): c for (i, j), hits in merge_out.items() for k, c in hits},
-            SPLIT: {(k, i, j): c for k, hits in split_out.items() for i, j, c in hits},
-            CUP: {(i, j): c for i, j, c in cup_out},
-            CAP: cap_val,
+        merge = _scaled({(i, j, k): c for (i, j), hits in merge_out.items() for k, c in hits})
+        cup = _scaled({(i, j): c for i, j, c in cup_out})
+        # split = (cup @ 1) ; (1 @ merge), on wires 0 (input), 1 and 2 (cup's
+        # legs) and 3 (output)
+        den, split = contract_sum([(1, [((1, 2), cup), ((2, 0, 3), merge)])], (0, 1, 3))
+        rows: Dict[int, List[Tuple[int, int, Fraction]]] = {}
+        for (k, i, j), n in sorted(split.items()):
+            rows.setdefault(k, []).append((i, j, Fraction(n, den)))
+        split_out = {k: tuple(hits) for k, hits in rows.items()}
+
+        nodes: Dict[Gen, Scaled] = {
+            MERGE: merge,
+            SPLIT: _scaled({(k, i, j): c for k, hits in split_out.items() for i, j, c in hits}),
+            CUP: cup,
+            CAP: _scaled(cap_val),
         }
-        nodes: Dict[Gen, Scaled] = {}
-        for g, table in by_ports.items():
-            scale = lcm(*{c.denominator for c in table.values()})
-            nodes[g] = (scale, {ports: _over(c, scale) for ports, c in table.items()})
 
         object.__setattr__(self, "merge_out", merge_out)
         object.__setattr__(self, "split_out", split_out)
         object.__setattr__(self, "cup_out", cup_out)
         object.__setattr__(self, "cap_val", cap_val)
-        object.__setattr__(self, "basisdata", bd)
         object.__setattr__(self, "nodes", nodes)
 
     def __setattr__(self, *a):
@@ -188,16 +215,14 @@ def _prune(d: dict) -> dict:
     return {k: v for k, v in d.items() if v}
 
 
-def _network_of(term: DiagramTerm) -> Tuple[List[_Node], List[int], List[int], int]:
+def _network_of(term: DiagramTerm) -> Tuple[List[Node], List[int], List[int]]:
     """Turn a term into generator nodes joined by wires; crossings become
-    wire permutations, identities disappear.  Returns the nodes, the
-    term.src input wires, the term.tgt output wires (a through strand's
-    wire is in both) and the term's scale, the product of its nodes'
-    scales."""
+    wire permutations, identities disappear.  Returns the network, the
+    term.src input wires and the term.tgt output wires (a through strand's
+    wire is in both)."""
     tables = generator_tensors().nodes
     fresh = iter(range(10**9)).__next__
-    nodes: List[_Node] = []
-    scale = 1
+    network: List[Node] = []
     inputs = [fresh() for _ in range(term.src)]
     wires = list(inputs)
     for off, g in to_layers(term):
@@ -218,10 +243,8 @@ def _network_of(term: DiagramTerm) -> Tuple[List[_Node], List[int], List[int], i
             wires[off : off + 1] = ports[1:]
         else:
             raise TypeError(f"unknown generator {g!r}")
-        s, tensor = tables[g]
-        scale *= s
-        nodes.append(_Node(ports, tensor))
-    return nodes, inputs, wires, scale
+        network.append((ports, tables[g]))
+    return network, inputs, wires
 
 
 def _project(positions: List[int]) -> itemgetter:
@@ -309,6 +332,31 @@ def _contract_network(nodes: List[_Node], boundary: List[int], strategy: str) ->
     return out
 
 
+def _contract(network: Sequence[Node], boundary: Sequence[int], strategy: str = "greedy") -> Scaled:
+    """A network's tensor keyed by its boundary wires, with its scale, the
+    product of its nodes' scales."""
+    scale, nodes = 1, []
+    for ports, (s, tensor) in network:
+        scale *= s
+        nodes.append(_Node(list(ports), tensor))
+    return scale, _contract_network(nodes, list(boundary), strategy)
+
+
+def contract_sum(parts: Iterable[Tuple[Fraction, Sequence[Node]]], boundary: Sequence[int]) -> Scaled:
+    """The sum of coeff * (contraction of the network) over (coeff, network)
+    parts, keyed by the boundary wires in the order given.
+
+    A network is a list of nodes ``(ports, (scale, int tensor))``: each port
+    is a wire id, and a wire that two nodes share is contracted.  Returns
+    (den, total) on ints, the sum being total / den, with no zero entries,
+    so the sum is the zero map exactly when total is empty.  This is the one
+    contractor every diagram goes through, open to nodes that are not
+    generators (a derivation acting on V) and to the generator tables while
+    they are being built.
+    """
+    return _combo_sum((Fraction(coeff), _contract(net, boundary)) for coeff, net in parts)
+
+
 # ---------------------------------------------------------------------------
 # terms and combos
 # ---------------------------------------------------------------------------
@@ -331,8 +379,8 @@ def _term_tensor(term: DiagramTerm, strategy: str = "greedy") -> Scaled:
     scale; greedy contractions are memoized."""
     hit = _TERM_TENSORS.get(term) if strategy == "greedy" else None
     if hit is None:
-        nodes, inputs, outputs, scale = _network_of(term)
-        hit = (scale, _contract_network(nodes, inputs + outputs, strategy))
+        network, inputs, outputs = _network_of(term)
+        hit = _contract(network, inputs + outputs, strategy)
         if strategy == "greedy" and _CACHE_ENABLED:
             _TERM_TENSORS[term] = hit
     return hit
@@ -341,9 +389,9 @@ def _term_tensor(term: DiagramTerm, strategy: str = "greedy") -> Scaled:
 def _apply(term: DiagramTerm, state: IntSparse, den: int) -> Scaled:
     """The term's outputs on an integer state over the common denominator
     ``den``: the state is one more node, on the input wires."""
-    nodes, inputs, outputs, scale = _network_of(term)
-    nodes.append(_Node(inputs, state))
-    return scale * den, _contract_network(nodes, outputs, "greedy")
+    network, inputs, outputs = _network_of(term)
+    network.append((inputs, (den, state)))
+    return _contract(network, outputs)
 
 
 def _combo_sum(parts: Iterable[Tuple[Fraction, Scaled]]) -> Scaled:
@@ -485,8 +533,6 @@ def trace_pairing(f, g) -> Fraction:
 def gram_rank(fs: Sequence) -> int:
     """Rank of the pairwise trace-pairing matrix = dimension of the span
     of the evaluated diagrams."""
-    from .exactla import RatMatrix
-
     fs = [as_combo(f) for f in fs]
     if not fs:
         return 0

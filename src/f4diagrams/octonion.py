@@ -145,10 +145,6 @@ class Octonion:
     def norm(self) -> Fraction:
         return sum((c * c for c in self.coords), ZERO)
 
-    def inner(self, other: "Octonion") -> Fraction:
-        """The polarization <x,y> = RP(x * conj(y)) = sum of coordinate products."""
-        return sum((a * b for a, b in zip(self.coords, other.coords)), ZERO)
-
     # -- text form -----------------------------------------------------------
 
     def __repr__(self):
@@ -157,10 +153,6 @@ class Octonion:
 
 def oct_mul(x: Octonion, y: Octonion) -> Octonion:
     return x * y
-
-
-def oct_conj(x: Octonion) -> Octonion:
-    return x.conj()
 
 
 def real_part(x: Octonion) -> Fraction:

@@ -132,13 +132,6 @@ class Poly2:
             total += c * alpha**i * delta**j
         return total
 
-    def divides_exactly(self, other: "Poly2"):
-        """Return other/self if the division is exact, else None."""
-        try:
-            return _div_exact(other, self)
-        except _NotDivisible:
-            return None
-
     def __repr__(self):
         return f"Poly2({poly_to_str(self)})"
 
@@ -389,18 +382,6 @@ def _normalize(num: Poly2, den: Poly2) -> Tuple[Poly2, Poly2]:
 # ---------------------------------------------------------------------------
 # operations named in the interface
 # ---------------------------------------------------------------------------
-
-
-def rf_arith(a: RatFunc, b: RatFunc, op: str) -> RatFunc:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def rf_solve(system: Sequence[Sequence[RatFunc]], rhs: Sequence[RatFunc]) -> List[RatFunc]:

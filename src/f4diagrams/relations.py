@@ -626,9 +626,11 @@ def check_sack() -> Dict[str, object]:
     tensor contracted from its generator network; it must vanish on all 676
     basis pairs.  The unprojected guard (e1 x e1 replaced by the identity)
     must stay nonzero, which rules out a trivially-zero evaluator.  The 1->1
-    form with a split below carries a (d - 26) factor, so it too must vanish
-    here, on every basis vector and in categorical trace; it is the split
-    table contracted with the bent tensor.
+    form with a split below carries a (d - 26) factor, so it too vanishes
+    here, on every basis vector and in categorical trace.  But that loop is
+    the bent tensor composed with split (the split table contracted with
+    the bent rows), so ``loop_zero`` and ``loop_trace == 0`` follow from
+    ``bent_zero``: they are reported, not certified independently.
     """
     e1 = _specialized("e1")
     rows: Dict[Tuple[int, int], Dict[int, Fraction]] = {}

@@ -12,7 +12,6 @@ from f4diagrams.albert import (
     basis_A,
     basis_V,
     bform,
-    build_basis,
     coords_A,
     coords_V,
     dual_basis_A,
@@ -23,6 +22,7 @@ from f4diagrams.albert import (
     oct_mat_real_trace,
     project_v,
 )
+from f4diagrams.functor import generator_tensors
 from f4diagrams.octonion import Octonion
 
 
@@ -196,9 +196,14 @@ def test_fixed_bases():
     assert len(bv) == 26
     assert all(alb_trace(v) == 0 for v in bv)
     assert len(basis_A()) == 27
-    data = build_basis()  # validates the dual-basis property internally
-    assert data.gram.matmul(data.gram_inv) is not None
-    total = sum((bform(b, d) for b, d in zip(data.basis, data.dual)), Fraction(0))
+    # the dual basis b~_i = sum_j Ginv[i][j] b_j, from the cup table
+    dual = [AlbertElement.zero() for _ in bv]
+    for i, j, c in generator_tensors().cup_out:
+        dual[i] = dual[i] + bv[j].scale(c)
+    for i in range(26):
+        for j in range(26):
+            assert bform(dual[i], bv[j]) == (1 if i == j else 0)
+    total = sum((bform(b, d) for b, d in zip(bv, dual)), Fraction(0))
     assert total == 26
 
 

@@ -170,6 +170,21 @@ def test_coeffs_triangle_with_specialization(capsys):
     assert payload["coefficients"]["c"]["value"] == "-1"
 
 
+def test_derivations_output(capsys):
+    assert run(capsys, "derivations") == (
+        0,
+        "dimension 52\nbracket closure: OK (5 samples)\n"
+        "equivariance: OK (merge=True, cap=True, cup=True)\n",
+        "",
+    )
+    assert run(capsys, "--format", "json", "derivations") == (
+        0,
+        '{"bracket_closure": true, "dimension": 52, "equivariance": '
+        '{"cap": true, "cup": true, "merge": true}, "holds": true}\n',
+        "",
+    )
+
+
 def test_homdim(capsys):
     rc, out, _ = run(capsys, "homdim", "2", "2")
     assert rc == 0

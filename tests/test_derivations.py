@@ -74,6 +74,24 @@ def test_identity_is_not_a_derivation():
     assert not dv.in_span(RatMatrix.identity(27))
 
 
+def test_conventions_fingerprint_is_pinned():
+    # The cache is keyed by this hash of the structure constants: a change
+    # to the table builder would quietly invalidate every cache.
+    assert dv._conventions_fingerprint() == (
+        "f8a50b910eced034f3f5d4c51905869aa79a50d2bf4c13c38cf706995751ab20"
+    )
+
+
+def test_equivariance_fails_for_a_non_derivation(monkeypatch):
+    # The identity on V is not a derivation: D . merge - merge . (D x 1) -
+    # merge . (1 x D) is -merge, and the cap and cup sums are twice cap and cup.
+    mutated = [RatMatrix.identity(26)] + dv.restricted_basis()[1:]
+    monkeypatch.setattr(dv, "_RESTRICTED", mutated)
+    report = dv.check_equivariance()
+    assert report["derivations"] == 52
+    assert not any(report[k] for k in ("merge_ok", "cap_ok", "cup_ok", "holds"))
+
+
 def test_restricted_basis_shape():
     restricted = dv.restricted_basis()
     assert len(restricted) == 52
@@ -177,11 +195,12 @@ def test_cold_solve_imports_no_numpy(tmp_path):
         "import sys\n"
         "from f4diagrams.derivations import derivation_basis\n"
         "assert len(derivation_basis()) == 52\n"
-        "print('numpy' in sys.modules)\n"
+        "print('numpy' in sys.modules, 'f4diagrams.functor' in sys.modules)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    # the solve needs neither numpy nor the evaluator
+    assert out.stdout.strip() == "False False"
     assert os.path.exists(tmp_path / "derivation_basis.txt")

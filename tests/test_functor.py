@@ -8,7 +8,15 @@ from math import lcm
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from f4diagrams.albert import alb_trace, bform, build_basis, jordan
+from f4diagrams.albert import (
+    AlbertElement,
+    alb_trace,
+    basis_V,
+    bform,
+    coords_V,
+    jordan,
+    project_v,
+)
 from f4diagrams.diagram import (
     CAP,
     CROSS,
@@ -26,6 +34,7 @@ from f4diagrams.diagram import (
     tensor_all,
     to_layers,
 )
+from f4diagrams.exactla import RatMatrix
 from f4diagrams.functor import (
     MAX_PHI_ENTRIES,
     apply_combo_to_basis,
@@ -45,7 +54,7 @@ pytestmark = pytest.mark.usefixtures("warm_tensors")
 
 def test_cap_is_the_trace_form():
     gens = generator_tensors()
-    bas = build_basis().basis
+    bas = basis_V()
     rng = random.Random(11)
     for _ in range(40):
         i, j = rng.randrange(26), rng.randrange(26)
@@ -83,7 +92,7 @@ def test_merge_against_raw_product_traces():
     # form directly on 27-dim elements: tr((b_i o b_j) o b_k) must match,
     # because the trace-part correction is orthogonal to traceless b_k.
     gens = generator_tensors()
-    bas = build_basis().basis
+    bas = basis_V()
     rng = random.Random(13)
     for _ in range(12):
         i, j = rng.randrange(26), rng.randrange(26)
@@ -109,6 +118,32 @@ def test_split_is_adjoint_to_merge():
         )
         lhs = sum(sc for x, y, sc in gens.split_out.get(k, ()) if (x, y) == (i, j))
         assert lhs == rhs
+
+
+def test_split_against_albert_products():
+    # split is contracted from cup and merge; this route multiplies Albert
+    # elements instead: split(b_k) has pi(b~_i o b_k) after b_i, for the
+    # dual basis b~ built here from an inverted Gram matrix of trace forms.
+    gens = generator_tensors()
+    bas = basis_V()
+    gram = RatMatrix(26, 26)
+    for i in range(26):
+        for j in range(i, 26):
+            gram.data[i][j] = gram.data[j][i] = bform(bas[i], bas[j])
+    ginv = gram.inverse()
+    dual = []
+    for i in range(26):
+        acc = AlbertElement.zero()
+        for j in range(26):
+            if ginv.data[i][j]:
+                acc = acc + bas[j].scale(ginv.data[i][j])
+        dual.append(acc)
+    for k in range(26):
+        got = [[Fraction(0)] * 26 for _ in range(26)]
+        for i, j, c in gens.split_out.get(k, ()):
+            got[i][j] = c
+        for i in range(26):
+            assert got[i] == coords_V(project_v(jordan(dual[i], bas[k])))
 
 
 def test_closed_bubble_is_the_dimension():
