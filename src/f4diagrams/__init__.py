@@ -2,7 +2,7 @@
 
 Layers, bottom to top:
 
-* ``exactla``    -- rationals, matrices, rank/nullspace/solve
+* ``exactla``    -- rationals, matrices, rank/nullspace/inverse
 * ``ratfield``   -- the coefficient field Q(a, d) of rational functions
 * ``octonion``   -- the 8-dimensional composition algebra over Q
 * ``albert``     -- the 27-dim exceptional Jordan algebra, trace form, bases,

@@ -30,7 +30,10 @@ The structure constants of the product on basis_A are computed once, by
 the one denominator ``_JORDAN_DEN`` (every constant is 1 or +-1/2).  Every
 other table of the package -- the generator tensors on V, the Leibniz
 system of the derivations -- is a sparse linear consequence of that table
-and these two index maps.
+and these two index maps.  ``functor`` reads the maps as two basis-change
+nodes, iota: V -> A from ``_V_IN_A`` and p: A -> V, the projection
+pi(x) = x - (tr x / 3) 1 read off through ``_A_TO_V`` over the scale 3,
+and builds each table on V as a network of them and the product table.
 
 Diagonal entries are always Fractions.  ``AlbertElement(diag, off)``
 coerces and validates its arguments; the linear structure, the product
@@ -44,7 +47,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactla import RatMatrix
-from .octonion import Octonion, oct_from_str, oct_to_str
+from .octonion import Octonion, oct_to_str
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -309,43 +312,6 @@ def _structure_table() -> Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]]:
     return _TABLE
 
 
-class ModuleVector:
-    """Element of V in fixed-basis coordinates (26 exact rationals)."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: Sequence):
-        coords = tuple(Fraction(c) for c in coords)
-        if len(coords) != 26:
-            raise ValueError("ModuleVector needs 26 coordinates")
-        object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ModuleVector is immutable")
-
-    @classmethod
-    def from_albert(cls, a: AlbertElement) -> "ModuleVector":
-        return cls(coords_V(a))  # raises unless traceless
-
-    @classmethod
-    def basis_vector(cls, i: int) -> "ModuleVector":
-        c = [ZERO] * 26
-        c[i] = ONE
-        return cls(c)
-
-    def to_albert(self) -> AlbertElement:
-        return from_coords_V(self.coords)
-
-    def __eq__(self, other):
-        return isinstance(other, ModuleVector) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        return f"ModuleVector({list(self.coords)})"
-
-
 def left_mult_matrix(a: AlbertElement) -> RatMatrix:
     """27x27 matrix of L_a: b -> a o b in the full basis."""
     cols = [coords_A(jordan(a, b)) for b in basis_A()]
@@ -394,16 +360,3 @@ def alb_to_str(a: AlbertElement) -> str:
         f"; x1={oct_to_str(a.off[0])}; x2={oct_to_str(a.off[1])}; x3={oct_to_str(a.off[2])}"
     )
 
-
-def alb_from_str(s: str) -> AlbertElement:
-    parts = [p.strip() for p in s.split(";")]
-    if len(parts) != 4 or not parts[0].startswith("diag(") or not parts[0].endswith(")"):
-        raise ValueError(f"bad AlbertElement text {s!r}")
-    diag = [Fraction(x) for x in parts[0][5:-1].split(",")]
-    offs = []
-    for k, p in enumerate(parts[1:], start=1):
-        prefix = f"x{k}="
-        if not p.startswith(prefix):
-            raise ValueError(f"bad AlbertElement text {s!r}")
-        offs.append(oct_from_str(p[len(prefix):]))
-    return AlbertElement(diag, offs)

@@ -28,12 +28,13 @@ The Leibniz system, its certificate and the fingerprint all read the one
 table of Jordan structure constants that ``albert`` builds, as ints over
 its denominator.
 
-check_equivariance() restricts each derivation to the traceless part V by
-index arithmetic and verifies, exactly, that the three generator tensors
-are infinitesimally invariant: the product tensor satisfies the Leibniz
-rule, the pairing is skew under (D x 1 + 1 x D), and the copairing is
-annihilated by it.  Each restricted D is an integer 1->1 node, and each
-identity is a sum of networks decided by the evaluator's one contractor.
+restricted_basis() restricts each derivation to the traceless part V as
+the network iota ; D ; p on the evaluator's one contractor, where iota
+embeds V in A and p projects A onto V; each restricted D is an integer
+1->1 node.  check_equivariance() verifies with the same contractor,
+exactly, that the three generator tensors are infinitesimally invariant:
+the product tensor satisfies the Leibniz rule, the pairing is skew under
+(D x 1 + 1 x D), and the copairing is annihilated by it.
 """
 
 from __future__ import annotations
@@ -48,9 +49,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .albert import (
-    _A_TO_V,
     _JORDAN_DEN,
-    _V_IN_A,
     AlbertElement,
     _from_coords_A,
     _structure_table,
@@ -278,7 +277,7 @@ def _read_cache(path: str) -> Optional[List[RatMatrix]]:
 
 _BASIS: Optional[List[Derivation]] = None
 _FREE_COLS: Optional[List[int]] = None
-_RESTRICTED: Optional[List[RatMatrix]] = None
+_RESTRICTED: Optional[List[Tuple[int, Dict[Tuple[int, int], int]]]] = None
 
 
 def _compute_basis_fresh() -> List[List[Fraction]]:
@@ -400,30 +399,25 @@ def check_bracket_closure(
 # ---------------------------------------------------------------------------
 
 
-def restricted_basis() -> List[RatMatrix]:
-    """The 52 derivations as 26x26 matrices on V.
+def restricted_basis() -> List[Tuple[int, Dict[Tuple[int, int], int]]]:
+    """The 52 derivations as integer 1->1 nodes on V, keyed (input, output).
 
     A derivation maps every basis element to a traceless one (the
-    certificate checks it), so it preserves V = ker tr, and its matrix on
-    basis_V is index arithmetic on the nonzero entries of its 27x27 matrix:
-    the rows are read by ``albert._A_TO_V`` and the columns rewritten by
-    ``albert._V_IN_A``.
+    certificate checks it), so it preserves V = ker tr.  Its restriction
+    is the network iota ; D ; p on the evaluator's contractor, with D its
+    27x27 matrix as a node keyed (input, output) and iota, p the
+    basis-change nodes between V and A.
     """
     global _RESTRICTED
     if _RESTRICTED is None:
-        v_cols: Dict[int, List[Tuple[int, int]]] = {}  # A column -> (V column, sign)
-        for j, col in enumerate(_V_IN_A):
-            for q, t in col:
-                v_cols.setdefault(q, []).append((j, t))
+        from .functor import _IOTA, _PROJ, _scaled, contract_sum
+
+        x, a, b, z = range(4)
         out = []
         for d in derivation_basis():
-            m = RatMatrix(26, 26)
-            for i, (r, s) in enumerate(_A_TO_V):
-                for q, v in enumerate(d.matrix.data[r]):
-                    if v:
-                        for j, t in v_cols[q]:
-                            m.data[i][j] += s * t * v
-            out.append(m)
+            rows = enumerate(d.matrix.data)
+            node = _scaled({(c, r): v for r, row in rows for c, v in enumerate(row) if v})
+            out.append(contract_sum([(1, [((x, a), _IOTA), ((a, b), node), ((b, z), _PROJ)])], (x, z)))
         _RESTRICTED = out
     return list(_RESTRICTED)
 
@@ -431,24 +425,23 @@ def restricted_basis() -> List[RatMatrix]:
 def check_equivariance() -> Dict[str, object]:
     """Exact infinitesimal invariance of the product, pairing and copairing.
 
-    Each of the 52 restricted derivations D becomes an integer 1->1 node,
-    keyed (input, output), and each identity is a sum of networks over it
-    and the generator nodes, contracted and summed by ``contract_sum``;
-    it holds when the sum is empty, on every basis input:
+    Each of the 52 restricted derivations D is an integer 1->1 node, keyed
+    (input, output), and each identity is a sum of networks over it and
+    the generator nodes, contracted and summed by ``contract_sum``; it
+    holds when the sum is empty, on every basis input:
       * merge: D . merge - merge . (D x 1) - merge . (1 x D) = 0;
       * cap:   cap . (D x 1 + 1 x D) = 0;
       * cup:   (D x 1 + 1 x D) . cup = 0.
     """
     from .diagram import CAP, CUP, MERGE
-    from .functor import _scaled, contract_sum, generator_tensors
+    from .functor import contract_sum, generator_tensors
 
-    nodes = generator_tensors().nodes
+    nodes = generator_tensors()
     merge, cap, cup = nodes[MERGE], nodes[CAP], nodes[CUP]
     restricted = restricted_basis()
     x, y, z, w = range(4)  # boundary wires x, y, z; w is contracted
     ok = {"merge": True, "cap": True, "cup": True}
-    for m in restricted:
-        d = _scaled({(j, i): v for i, row in enumerate(m.data) for j, v in enumerate(row) if v})
+    for d in restricted:
         identities = {
             "merge": ((x, y, z), [
                 (1, [((x, y, w), merge), ((w, z), d)]),

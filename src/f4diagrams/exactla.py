@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
-``Rational`` is an alias for :class:`fractions.Fraction`, which already
-guarantees lowest terms, a positive denominator and arbitrary precision.
-``RatMatrix`` is a small dense row-major matrix with the three kernel
-operations everything else needs: rank, nullspace and linear solve.
+Entries are :class:`fractions.Fraction`, which already guarantees lowest
+terms, a positive denominator and arbitrary precision.  ``RatMatrix`` is a
+small dense row-major matrix with the three kernel operations everything
+else needs: rank, nullspace and inverse.
 ``sparse_nullspace`` finds rank and nullspace of a large sparse system
 given row by row, with the same reduced-echelon conventions.
 
@@ -15,15 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def rat(p, q=1) -> Fraction:
-    """Build a rational from integers (or parse a string like '-3/7')."""
-    return Fraction(p, q) if q != 1 else Fraction(p)
 
 
 def rat_to_str(x: Fraction) -> str:
@@ -31,18 +24,10 @@ def rat_to_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-def rat_from_str(s: str) -> Fraction:
-    return Fraction(s.strip())
-
-
 def _bitsize(x: Fraction) -> int:
     # Size proxy used for pivot selection: small pivots keep the
     # elimination's intermediate entries small.
     return abs(x.numerator).bit_length() + x.denominator.bit_length()
-
-
-class InconsistentSystem(Exception):
-    """Raised by :meth:`RatMatrix.solve` when b is outside the column space."""
 
 
 class RatMatrix:
@@ -192,25 +177,6 @@ class RatMatrix:
             basis.append(v)
         return basis
 
-    def solve(self, b: Sequence[Fraction]) -> List[Fraction]:
-        """One exact solution of ``self @ x = b``.
-
-        Raises :class:`InconsistentSystem` (message ``"inconsistent"``)
-        when b is outside the column space.
-        """
-        if len(b) != self.rows:
-            raise ValueError("dimension mismatch")
-        aug = RatMatrix(
-            self.rows, self.cols + 1, [row[:] + [Fraction(bi)] for row, bi in zip(self.data, b)]
-        )
-        m, pivots = aug._rref()
-        if self.cols in pivots:
-            raise InconsistentSystem("inconsistent")
-        x = [ZERO] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = m[r][self.cols]
-        return x
-
     def inverse(self) -> "RatMatrix":
         if self.rows != self.cols:
             raise ValueError("not square")
@@ -273,14 +239,3 @@ def sparse_nullspace(
         basis.append(v)
     return len(pivots), basis
 
-
-def rank(m: RatMatrix) -> int:
-    return m.rank()
-
-
-def nullspace(m: RatMatrix) -> List[List[Fraction]]:
-    return m.nullspace()
-
-
-def solve(m: RatMatrix, b: Sequence[Fraction]) -> List[Fraction]:
-    return m.solve(b)

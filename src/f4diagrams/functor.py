@@ -20,16 +20,20 @@ tensor; ``apply_combo_to_basis`` and ``apply_term_sparse`` add one more
 node, the input state, on the input wires and keep only the outputs.  A
 creation-order strategy exists solely so tests can confirm the result is
 order-independent.  ``contract_sum`` opens the same contractor to networks
-of raw integer nodes: the split table is contracted from cup and merge with
-it, and ``derivations`` checks equivariance with it.
+of raw integer nodes.  The generator tables are built with it, from the
+Jordan structure constants of ``albert`` and two basis-change nodes, iota
+(V -> A) and p (A -> V, the projection pi read off in basis_V); and
+``derivations`` restricts each derivation to V as iota ; D ; p and checks
+equivariance with it.
 
 States and tensors are sparse dictionaries keyed by index tuples.  Inside
 the module the values are Python ints over one scale per term: each
 generator's node tensor is stored scaled by the least common denominator of
 its entries, and a term's scale is the product of its nodes' scales, so the
-contraction multiplies and adds ints only.  Every public return divides the
-scale back out and is a {index-tuple: Fraction} dictionary (or a Fraction
-scalar).  Everything is exact -- the whole module contains no floats.
+contraction multiplies and adds ints only.  Every evaluation divides the
+scale back out and returns a {index-tuple: Fraction} dictionary (or a
+Fraction scalar).  Everything is exact -- the whole module contains no
+floats.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -53,8 +57,8 @@ from .diagram import (
     DiagramTerm,
     Gen,
     Id,
-    Compose,
     as_combo,
+    compose_chain,
     mirror,
     tensor_all,
     to_layers,
@@ -93,109 +97,56 @@ def _scaled(table: Dict[Tuple[int, ...], Fraction]) -> Scaled:
     return scale, {ports: _over(c, scale) for ports, c in table.items()}
 
 
-class GeneratorTensors:
-    """Sparse tables for the five generators.
+#: the change of basis between V and A as 1->1 nodes keyed (input, output):
+#: iota embeds basis_V in basis_A; p is pi(x) = x - (tr x / 3) 1 read off in
+#: basis_V, over the scale 3 (tr b_r is 1 for the three diagonal units r < 3)
+_IOTA: Scaled = (1, {(j, r): s for j, col in enumerate(_V_IN_A) for r, s in col})
+_PROJ: Scaled = (3, {
+    (q, i): s * ((3 if q == r else 0) - (1 if q < 3 and r < 3 else 0))
+    for i, (r, s) in enumerate(_A_TO_V)
+    for q in range(27)
+    if q == r or (q < 3 and r < 3)
+})
 
-    Public tables, with exact Fraction entries:
+_NODES: Optional[Dict[Gen, Scaled]] = None
 
-    merge_out[(i,j)]  -> ((k, c), ...):            pi(b_i o b_j) = sum c b_k
-    split_out[k]      -> ((i, j, c), ...):         split(b_k) = sum c b_i (x) b_j
-    cup_out           -> ((i, j, c), ...):         inverse Gram entries
-    cap_val[(i,j)]    -> tr(b_i o b_j):            Gram entries
 
-    They are derived, not multiplied out: merge and cap change the Jordan
-    structure constants of ``albert`` to basis_V and project to V (merge)
-    or take the trace (cap); cup is the inverse of the Gram matrix, checked
-    exactly; and split is contracted as the network (cup @ 1) ; (1 @ merge),
-    which is b_k -> sum_i b_i (x) pi(b~_i o b_k) for the dual basis b~.
+def generator_tensors() -> Dict[Gen, Scaled]:
+    """The node table ``(scale, tensor)`` of each generator, built once.
 
-    ``nodes[g]`` is ``(scale, tensor)`` for each generator that becomes a
-    network node (a crossing only permutes wires): the table of g keyed by
-    the node's ports in order, inputs then outputs -- ``(i, j, k)`` for
-    merge, ``(k, i, j)`` for split -- with every entry multiplied by
-    ``scale``, the least common denominator of its entries, so the entries
-    are ints.  The contractor reads only these.
+    A tensor is keyed by the node's ports in order, inputs then outputs --
+    ``(i, j, k)`` for merge, ``(k, i, j)`` for split -- and its int entries
+    are the exact ones times ``scale``, their least common denominator.  A
+    crossing only permutes wires, so it has no table.  Each table is a
+    network on the one contractor: with J the Jordan structure constants
+    of ``albert`` as a 2->1 node over ``_JORDAN_DEN``, merge is
+    (iota x iota) ; J ; p and cap is (iota x iota) ; J ; tr; cup is the
+    inverse of the Gram matrix cap, checked exactly; and split is
+    (cup x 1) ; (1 x merge), which is b_k -> sum_i b_i (x) pi(b~_i o b_k)
+    for the dual basis b~.
     """
+    global _NODES
+    if _NODES is None:
+        jordan: IntSparse = {}
+        for (p, q), hits in _structure_table().items():
+            for r, n in hits:
+                jordan[(p, q, r)] = jordan[(q, p, r)] = n
+        x, y, z, a, b, c = range(6)
+        vertex = [((x, a), _IOTA), ((y, b), _IOTA), ((a, b, c), (_JORDAN_DEN, jordan))]
+        merge = contract_sum([(1, vertex + [((c, z), _PROJ)])], (x, y, z))
+        cap = contract_sum([(1, vertex + [((c,), (1, {(r,): 1 for r in range(3)}))])], (x, y))
 
-    __slots__ = ("merge_out", "split_out", "cup_out", "cap_val", "nodes")
-
-    def __init__(self):
-        table = _structure_table()
-        merge_out: Dict[Tuple[int, int], Tuple[Tuple[int, Fraction], ...]] = {}
         gram = RatMatrix(DIM, DIM)
-        for i in range(DIM):
-            for j in range(i, DIM):
-                # b_i o b_j in basis_A coordinates, over _JORDAN_DEN
-                x = [0] * 27
-                for p, s in _V_IN_A[i]:
-                    for q, t in _V_IN_A[j]:
-                        for r, n in table[(p, q) if p <= q else (q, p)]:
-                            x[r] += s * t * n
-                tr = x[0] + x[1] + x[2]
-                gram.data[i][j] = gram.data[j][i] = Fraction(tr, _JORDAN_DEN)
-                # pi(x) = x - (tr/3) 1, over 3 * _JORDAN_DEN, then to basis_V
-                y = [3 * n - (tr if r < 3 else 0) for r, n in enumerate(x)]
-                nz = tuple(
-                    (k, Fraction(s * y[r], 3 * _JORDAN_DEN))
-                    for k, (r, s) in enumerate(_A_TO_V)
-                    if y[r]
-                )
-                if nz:
-                    merge_out[(i, j)] = nz
-                    if i != j:
-                        merge_out[(j, i)] = nz
-
+        for (i, j), n in cap[1].items():
+            gram.data[i][j] = Fraction(n, cap[0])
         ginv = gram.inverse()  # raises on singular
         if gram.matmul(ginv) != RatMatrix.identity(DIM):
             raise AssertionError("Gram inversion defect")
-        cup_out = tuple(
-            (i, j, ginv.data[i][j])
-            for i in range(DIM)
-            for j in range(DIM)
-            if ginv.data[i][j]
-        )
-        cap_val = {
-            (i, j): gram.data[i][j]
-            for i in range(DIM)
-            for j in range(DIM)
-            if gram.data[i][j]
-        }
-
-        merge = _scaled({(i, j, k): c for (i, j), hits in merge_out.items() for k, c in hits})
-        cup = _scaled({(i, j): c for i, j, c in cup_out})
-        # split = (cup @ 1) ; (1 @ merge), on wires 0 (input), 1 and 2 (cup's
-        # legs) and 3 (output)
-        den, split = contract_sum([(1, [((1, 2), cup), ((2, 0, 3), merge)])], (0, 1, 3))
-        rows: Dict[int, List[Tuple[int, int, Fraction]]] = {}
-        for (k, i, j), n in sorted(split.items()):
-            rows.setdefault(k, []).append((i, j, Fraction(n, den)))
-        split_out = {k: tuple(hits) for k, hits in rows.items()}
-
-        nodes: Dict[Gen, Scaled] = {
-            MERGE: merge,
-            SPLIT: _scaled({(k, i, j): c for k, hits in split_out.items() for i, j, c in hits}),
-            CUP: cup,
-            CAP: _scaled(cap_val),
-        }
-
-        object.__setattr__(self, "merge_out", merge_out)
-        object.__setattr__(self, "split_out", split_out)
-        object.__setattr__(self, "cup_out", cup_out)
-        object.__setattr__(self, "cap_val", cap_val)
-        object.__setattr__(self, "nodes", nodes)
-
-    def __setattr__(self, *a):
-        raise AttributeError("GeneratorTensors is immutable")
-
-
-_GENS: Optional[GeneratorTensors] = None
-
-
-def generator_tensors() -> GeneratorTensors:
-    global _GENS
-    if _GENS is None:
-        _GENS = GeneratorTensors()
-    return _GENS
+        cup = _scaled({(i, j): v for i, row in enumerate(ginv.data) for j, v in enumerate(row) if v})
+        # split on wires 0 (input), 1 and 2 (cup's legs) and 3 (output)
+        split = contract_sum([(1, [((1, 2), cup), ((2, 0, 3), merge)])], (0, 1, 3))
+        _NODES = {MERGE: merge, SPLIT: split, CUP: cup, CAP: cap}
+    return _NODES
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +171,7 @@ def _network_of(term: DiagramTerm) -> Tuple[List[Node], List[int], List[int]]:
     wire permutations, identities disappear.  Returns the network, the
     term.src input wires and the term.tgt output wires (a through strand's
     wire is in both)."""
-    tables = generator_tensors().nodes
+    tables = generator_tensors()
     fresh = iter(range(10**9)).__next__
     network: List[Node] = []
     inputs = [fresh() for _ in range(term.src)]
@@ -348,13 +299,16 @@ def contract_sum(parts: Iterable[Tuple[Fraction, Sequence[Node]]], boundary: Seq
 
     A network is a list of nodes ``(ports, (scale, int tensor))``: each port
     is a wire id, and a wire that two nodes share is contracted.  Returns
-    (den, total) on ints, the sum being total / den, with no zero entries,
-    so the sum is the zero map exactly when total is empty.  This is the one
-    contractor every diagram goes through, open to nodes that are not
-    generators (a derivation acting on V) and to the generator tables while
-    they are being built.
+    (den, total) on ints in lowest terms, the sum being total / den, with no
+    zero entries, so the sum is the zero map exactly when total is empty.
+    This is the one contractor every diagram goes through, open to nodes
+    that are not generators (the Jordan product, a derivation, the change
+    of basis between V and A) and to the generator tables while they are
+    being built.
     """
-    return _combo_sum((Fraction(coeff), _contract(net, boundary)) for coeff, net in parts)
+    den, total = _combo_sum((Fraction(coeff), _contract(net, boundary)) for coeff, net in parts)
+    g = gcd(den, *total.values())
+    return den // g, {k: n // g for k, n in total.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -492,17 +446,15 @@ def phi_closed(f, strategy: str = "greedy") -> Fraction:
 
 
 def _cup_nest(m: int) -> DiagramTerm:
-    t: DiagramTerm = CUP
-    for _ in range(m - 1):
-        t = Compose(tensor_all(Id(1), t, Id(1)), CUP)
-    return t
+    """0 -> 2m: m nested cups, outermost first, as one flat chain of layers
+    (a term nested m levels deep would overflow the recursion limit of the
+    term printer and of the layer view for large m)."""
+    return compose_chain(*(tensor_all(Id(k), CUP, Id(k)) for k in range(m)))
 
 
 def _cap_nest(m: int) -> DiagramTerm:
-    t: DiagramTerm = CAP
-    for _ in range(m - 1):
-        t = Compose(CAP, tensor_all(Id(1), t, Id(1)))
-    return t
+    """2m -> 0: the mirror of ``_cup_nest``, innermost cap first."""
+    return compose_chain(*(tensor_all(Id(k), CAP, Id(k)) for k in reversed(range(m))))
 
 
 def closure(f) -> DiagramCombo:

@@ -170,19 +170,3 @@ def oct_to_str(x: Octonion) -> str:
             pieces.append(f"{c} e{i}")
     return " + ".join(pieces)
 
-
-def oct_from_str(s: str) -> Octonion:
-    coords = [ZERO] * 8
-    for piece in s.split("+"):
-        piece = piece.strip()
-        if not piece:
-            continue
-        if "e" in piece:
-            cpart, epart = piece.split("e")
-            idx = int(epart)
-            coeff = Fraction(cpart.strip()) if cpart.strip() else ONE
-        else:
-            idx = 0
-            coeff = Fraction(piece)
-        coords[idx] += coeff
-    return Octonion(coords)

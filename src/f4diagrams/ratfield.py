@@ -12,7 +12,6 @@ a dictionary comparison.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd as int_gcd
 from typing import Dict, List, Sequence, Tuple
@@ -476,58 +475,6 @@ def poly_to_str(p: Poly2) -> str:
 
 def rf_to_str(f: RatFunc) -> str:
     return f"({poly_to_str(f.num)})/({poly_to_str(f.den)})"
-
-
-def poly_from_str(s: str) -> Poly2:
-    """Parse the output of :func:`poly_to_str` (signs, optional ^ powers)."""
-    total = Poly2()
-    s = s.strip()
-    if not s:
-        raise ValueError("empty polynomial")
-    # split into signed terms at top level (no parentheses inside a poly body)
-    terms = re.split(r"(?<=[^eE*^])\s*([+-])\s*", " " + s)
-    # terms comes out like ['lead', '+', 'next', '-', 'next2']; normalize
-    pieces: List[Tuple[int, str]] = []
-    lead = terms[0].strip()
-    sign = 1
-    if lead.startswith("-"):
-        sign, lead = -1, lead[1:].strip()
-    if lead:
-        pieces.append((sign, lead))
-    k = 1
-    while k < len(terms):
-        sgn = 1 if terms[k] == "+" else -1
-        pieces.append((sgn, terms[k + 1].strip()))
-        k += 2
-    for sgn, body in pieces:
-        c = ONE
-        mono = [0, 0]
-        for factor in body.split("*"):
-            factor = factor.strip()
-            if not factor:
-                continue
-            if factor[0] in "ad":
-                var = 0 if factor[0] == "a" else 1
-                rest = factor[1:]
-                exp = 1
-                if rest.startswith("^"):
-                    exp = int(rest[1:])
-                elif rest:
-                    raise ValueError(f"bad factor {factor!r}")
-                mono[var] += exp
-            else:
-                c *= Fraction(factor)
-        total = total + Poly2({(mono[0], mono[1]): sgn * c})
-    return total
-
-
-def rf_from_str(s: str) -> RatFunc:
-    s = s.strip()
-    m = re.fullmatch(r"\((?P<num>[^()]*)\)\s*/\s*\((?P<den>[^()]*)\)", s)
-    if not m:
-        # tolerate a bare polynomial
-        return RatFunc(poly_from_str(s))
-    return RatFunc(poly_from_str(m.group("num")), poly_from_str(m.group("den")))
 
 
 # convenient module-level symbols

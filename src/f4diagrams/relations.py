@@ -20,6 +20,7 @@ Beyond plain relations the module verifies three structured facts:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -47,9 +48,11 @@ from .diagram import (
     zero_combo,
 )
 from .functor import (
+    _scaled,
     apply_combo_to_basis,
     basis_indices,
     closure,
+    contract_sum,
     generator_tensors,
     phi_closed,
     phi_tensor,
@@ -628,27 +631,26 @@ def check_sack() -> Dict[str, object]:
     must stay nonzero, which rules out a trivially-zero evaluator.  The 1->1
     form with a split below carries a (d - 26) factor, so it too vanishes
     here, on every basis vector and in categorical trace.  But that loop is
-    the bent tensor composed with split (the split table contracted with
-    the bent rows), so ``loop_zero`` and ``loop_trace == 0`` follow from
-    ``bent_zero``: they are reported, not certified independently.
+    the bent tensor composed with split (the split node contracted with the
+    bent tensor by ``contract_sum``), so ``loop_zero`` and
+    ``loop_trace == 0`` follow from ``bent_zero``: they are reported, not
+    certified independently.
     """
     e1 = _specialized("e1")
-    rows: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-    for (i, j, m), c in phi_tensor(_pair_bridge(e1 @ e1)).items():
-        rows.setdefault((i, j), {})[m] = c
-    worst = max(map(len, rows.values()), default=0)
+    bent = phi_tensor(_pair_bridge(e1 @ e1))
+    worst = max(Counter(key[:2] for key in bent).values(), default=0)
 
     guard_nonzero = bool(phi_tensor(_pair_bridge(as_combo(Id(4)))))
 
-    loop: Dict[Tuple[int, int], Fraction] = {}
-    for k, hits in generator_tensors().split_out.items():
-        for i, j, sc in hits:
-            for m, c in rows.get((i, j), {}).items():
-                loop[(k, m)] = loop.get((k, m), Fraction(0)) + sc * c
-    loop_zero = not any(loop.values())
-    loop_trace = sum((loop.get((k, k), Fraction(0)) for k in range(26)), Fraction(0))
+    # split on wires (k; i, j) feeding the bent tensor on (i, j; m)
+    k, i, j, m = range(4)
+    den, loop = contract_sum(
+        [(1, [((k, i, j), generator_tensors()[SPLIT]), ((i, j, m), _scaled(bent))])], (k, m)
+    )
+    loop_zero = not loop
+    loop_trace = Fraction(sum(loop.get((v, v), 0) for v in range(26)), den)
 
-    bent_zero = not rows
+    bent_zero = not bent
     holds = bent_zero and guard_nonzero and loop_zero and loop_trace == 0
     return {
         "holds": holds,

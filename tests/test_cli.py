@@ -30,6 +30,12 @@ def test_eval_closed_trace_antisymmetrizer(capsys):
     assert out == "2600\n"
 
 
+def test_eval_closed_identity(capsys):
+    # five strands closed up: 26 ** 5
+    rc, out, err = run(capsys, "eval", "id(5)", "--closed")
+    assert (rc, out, err) == (0, "11881376\n", "")
+
+
 def test_eval_shape_summary(capsys):
     rc, out, _ = run(capsys, "eval", "merge ; split")
     assert rc == 0

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import f4diagrams.derivations as dv
-from f4diagrams.albert import AlbertElement, alb_trace, coords_A, jordan
+from f4diagrams.albert import AlbertElement, alb_trace, basis_V, coords_A, coords_V, jordan
 from f4diagrams.exactla import RatMatrix
 from f4diagrams.octonion import Octonion
 
@@ -85,7 +85,8 @@ def test_conventions_fingerprint_is_pinned():
 def test_equivariance_fails_for_a_non_derivation(monkeypatch):
     # The identity on V is not a derivation: D . merge - merge . (D x 1) -
     # merge . (1 x D) is -merge, and the cap and cup sums are twice cap and cup.
-    mutated = [RatMatrix.identity(26)] + dv.restricted_basis()[1:]
+    identity = (1, {(i, i): 1 for i in range(26)})
+    mutated = [identity] + dv.restricted_basis()[1:]
     monkeypatch.setattr(dv, "_RESTRICTED", mutated)
     report = dv.check_equivariance()
     assert report["derivations"] == 52
@@ -95,7 +96,22 @@ def test_equivariance_fails_for_a_non_derivation(monkeypatch):
 def test_restricted_basis_shape():
     restricted = dv.restricted_basis()
     assert len(restricted) == 52
-    assert all((m.rows, m.cols) == (26, 26) for m in restricted)
+    for scale, node in restricted:
+        assert all(len(key) == 2 and 0 <= min(key) and max(key) < 26 for key in node)
+
+
+def test_restricted_basis_is_the_action_on_V():
+    # the node of iota ; D ; p against D applied to the Albert elements b_j
+    bv = basis_V()
+    restricted = dv.restricted_basis()
+    for i in (0, 19, 51):
+        scale, node = restricted[i]
+        d = dv.derivation_basis()[i]
+        for j, b in enumerate(bv):
+            image = coords_V(d.apply(b))
+            assert {k: Fraction(n, scale) for (x, k), n in node.items() if x == j} == {
+                k: c for k, c in enumerate(image) if c
+            }
 
 
 def test_cache_round_trip():

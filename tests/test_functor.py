@@ -1,5 +1,6 @@
 """Evaluation of diagrams as exact multilinear maps on the 26-dim module."""
 
+import functools
 import random
 import time
 from fractions import Fraction
@@ -27,6 +28,8 @@ from f4diagrams.diagram import (
     DiagramCombo,
     Id,
     as_combo,
+    bigfive_list,
+    brutal_list,
     build_named,
     compose_chain,
     mirror,
@@ -52,27 +55,34 @@ from f4diagrams.functor import (
 pytestmark = pytest.mark.usefixtures("warm_tensors")
 
 
+@functools.cache
+def _table(g):
+    """The generator's exact table read off its node, keyed by its ports:
+    (i, j) for cup and cap, (i, j, k) for merge, (k, i, j) for split."""
+    scale, tensor = generator_tensors()[g]
+    return {k: Fraction(n, scale) for k, n in tensor.items()}
+
+
+@functools.cache
+def _rows(g, n_in):
+    """The generator's table as {inputs: {outputs: c}}, for n_in inputs."""
+    rows = {}
+    for key, c in _table(g).items():
+        rows.setdefault(key[:n_in], {})[key[n_in:]] = c
+    return rows
+
+
 def test_cap_is_the_trace_form():
-    gens = generator_tensors()
+    cap = _table(CAP)
     bas = basis_V()
     rng = random.Random(11)
     for _ in range(40):
         i, j = rng.randrange(26), rng.randrange(26)
-        assert gens.cap_val.get((i, j), Fraction(0)) == bform(bas[i], bas[j])
-
-
-def _cup(gens):
-    return {(i, j): c for i, j, c in gens.cup_out}
-
-
-def _merge(gens, k, i, j):
-    """Coefficient of b_k in pi(b_i o b_j)."""
-    return dict(gens.merge_out.get((i, j), ())).get(k, 0)
+        assert cap.get((i, j), Fraction(0)) == bform(bas[i], bas[j])
 
 
 def test_cup_inverts_cap():
-    gens = generator_tensors()
-    cap, cup = gens.cap_val, _cup(gens)
+    cap, cup = _table(CAP), _table(CUP)
     for i in range(26):
         for k in range(26):
             s = sum(cap.get((i, j), 0) * cup.get((j, k), 0) for j in range(26))
@@ -80,31 +90,31 @@ def test_cup_inverts_cap():
 
 
 def test_merge_is_symmetric():
-    gens = generator_tensors()
+    merge = _table(MERGE)
     rng = random.Random(12)
     for _ in range(60):
         i, j, k = rng.randrange(26), rng.randrange(26), rng.randrange(26)
-        assert _merge(gens, k, i, j) == _merge(gens, k, j, i)
+        assert merge.get((i, j, k), 0) == merge.get((j, i, k), 0)
 
 
 def test_merge_against_raw_product_traces():
     # Pair the merge output against every basis vector using the trace
     # form directly on 27-dim elements: tr((b_i o b_j) o b_k) must match,
     # because the trace-part correction is orthogonal to traceless b_k.
-    gens = generator_tensors()
+    merge, cap = _rows(MERGE, 2), _table(CAP)
     bas = basis_V()
     rng = random.Random(13)
     for _ in range(12):
         i, j = rng.randrange(26), rng.randrange(26)
-        out = dict(gens.merge_out.get((i, j), ()))
+        out = merge.get((i, j), {})
         for k in range(26):
-            lhs = sum(c * gens.cap_val.get((m, k), Fraction(0)) for m, c in out.items())
+            lhs = sum(c * cap.get((m, k), Fraction(0)) for (m,), c in out.items())
             assert lhs == alb_trace(jordan(jordan(bas[i], bas[j]), bas[k]))
 
 
 def test_split_is_adjoint_to_merge():
-    gens = generator_tensors()
-    cap, cup = gens.cap_val, _cup(gens)
+    cap, cup, split = _table(CAP), _table(CUP), _table(SPLIT)
+    merge = _rows(MERGE, 2)
     rng = random.Random(14)
     for _ in range(20):
         i, j, k = rng.randrange(26), rng.randrange(26), rng.randrange(26)
@@ -114,17 +124,16 @@ def test_split_is_adjoint_to_merge():
             for a in range(26)
             for b in range(26)
             if (i, a) in cup and (j, b) in cup
-            for c, mc in gens.merge_out.get((a, b), ())
+            for (c,), mc in merge.get((a, b), {}).items()
         )
-        lhs = sum(sc for x, y, sc in gens.split_out.get(k, ()) if (x, y) == (i, j))
-        assert lhs == rhs
+        assert split.get((k, i, j), 0) == rhs
 
 
 def test_split_against_albert_products():
     # split is contracted from cup and merge; this route multiplies Albert
     # elements instead: split(b_k) has pi(b~_i o b_k) after b_i, for the
     # dual basis b~ built here from an inverted Gram matrix of trace forms.
-    gens = generator_tensors()
+    split = _rows(SPLIT, 1)
     bas = basis_V()
     gram = RatMatrix(26, 26)
     for i in range(26):
@@ -140,7 +149,7 @@ def test_split_against_albert_products():
         dual.append(acc)
     for k in range(26):
         got = [[Fraction(0)] * 26 for _ in range(26)]
-        for i, j, c in gens.split_out.get(k, ()):
+        for (i, j), c in split.get((k,), {}).items():
             got[i][j] = c
         for i in range(26):
             assert got[i] == coords_V(project_v(jordan(dual[i], bas[k])))
@@ -170,13 +179,11 @@ def test_contraction_strategy_is_irrelevant():
 
 
 def test_phi_apply_matches_basis_table():
-    gens = generator_tensors()
+    table = _rows(MERGE, 2)
     merge = phi_tensor(as_combo(MERGE))
-    key = min(gens.merge_out)
-    assert {k[2:]: c for k, c in merge.items() if k[:2] == key} == {
-        (k,): c for k, c in gens.merge_out[key]
-    }
-    dead = next(p for p in basis_indices(2) if p not in gens.merge_out)
+    key = min(table)
+    assert {k[2:]: c for k, c in merge.items() if k[:2] == key} == table[key]
+    dead = next(p for p in basis_indices(2) if p not in table)
     assert not any(k[:2] == dead for k in merge)
 
 
@@ -210,6 +217,29 @@ def test_cache_toggle_is_invisible():
 def test_closure_rejects_rectangular():
     with pytest.raises(DiagramArityError):
         closure(as_combo(MERGE))
+
+
+def test_closure_of_a_deep_identity_builds():
+    # The cups and caps form one flat chain of layers; nested one strand
+    # pair per level, they overflowed the recursion limit of the term
+    # printer that orders a combo's terms.
+    closed = closure(as_combo(Id(400)))
+    assert (closed.src, closed.tgt) == (0, 0)
+    (term, coeff), = closed.terms
+    assert coeff == 1 and len(to_layers(term)) == 800
+
+
+@pytest.mark.parametrize("spanning", [bigfive_list, brutal_list])
+def test_gram_matrices_are_positive_definite(spanning):
+    # Sylvester's criterion: every pivot of Fraction elimination without
+    # row exchanges is > 0 exactly when every leading principal minor is.
+    fs = spanning()
+    gram = [[trace_pairing(f, g) for g in fs] for f in fs]
+    for c in range(len(fs)):
+        assert gram[c][c] > 0, c
+        for r in range(c + 1, len(fs)):
+            f = gram[r][c] / gram[c][c]
+            gram[r] = [x - f * y for x, y in zip(gram[r], gram[c])]
 
 
 def _reference_combo(f, idx):
@@ -319,27 +349,22 @@ def test_phi_tensor_refuses_huge_through_expansions():
 
 
 def test_integer_tables_are_the_scaled_fraction_tables():
-    gens = generator_tensors()
-    fraction_tables = {
-        MERGE: {(i, j, k): c for (i, j), hits in gens.merge_out.items() for k, c in hits},
-        SPLIT: {(k, i, j): c for k, hits in gens.split_out.items() for i, j, c in hits},
-        CUP: _cup(gens),
-        CAP: gens.cap_val,
-    }
-    assert set(gens.nodes) == set(fraction_tables)
-    for g, exact in fraction_tables.items():
-        scale, table = gens.nodes[g]
+    nodes = generator_tensors()
+    assert set(nodes) == {MERGE, SPLIT, CUP, CAP}
+    for g, (scale, table) in nodes.items():
+        exact = phi_tensor(as_combo(g))
         assert scale == lcm(*(c.denominator for c in exact.values())), g
         assert all(type(n) is int for n in table.values()), g
         assert {k: Fraction(n, scale) for k, n in table.items()} == exact, g
-    assert CROSS not in gens.nodes  # a crossing permutes wires; it has no table
+    assert {g: scale for g, (scale, _) in nodes.items()} == {MERGE: 6, SPLIT: 12, CUP: 6, CAP: 1}
+    assert CROSS not in nodes  # a crossing permutes wires; it has no table
 
 
 def _reference_term(term, state):
     """Push a Fraction state through the term's layers, straight from the
-    public Fraction tables: the reference the contractor must match."""
-    gens = generator_tensors()
-    cup = _cup(gens)
+    generator tables: the reference the contractor must match."""
+    merge, split = _rows(MERGE, 2), _rows(SPLIT, 1)
+    cup, cap = _table(CUP), _table(CAP)
     for off, g in to_layers(term):
         out = {}
         for idx, c in state.items():
@@ -347,15 +372,15 @@ def _reference_term(term, state):
             if g is CROSS:
                 images, tail = [((idx[off + 1], idx[off]), 1)], idx[off + 2 :]
             elif g is MERGE:
-                images = [((k,), v) for k, v in gens.merge_out.get(idx[off : off + 2], ())]
+                images = list(merge.get(idx[off : off + 2], {}).items())
                 tail = idx[off + 2 :]
             elif g is SPLIT:
-                images = [((i, j), v) for i, j, v in gens.split_out.get(idx[off], ())]
+                images = list(split.get(idx[off : off + 1], {}).items())
                 tail = idx[off + 1 :]
             elif g is CUP:
                 images, tail = list(cup.items()), idx[off:]
             else:
-                images = [((), gens.cap_val.get(idx[off : off + 2], Fraction(0)))]
+                images = [((), cap.get(idx[off : off + 2], Fraction(0)))]
                 tail = idx[off + 2 :]
             for mid, v in images:
                 key = head + mid + tail

@@ -7,7 +7,6 @@ from f4diagrams.octonion import (
     FANO_LINES,
     MULT_TABLE,
     Octonion,
-    oct_from_str,
     oct_to_str,
     real_part,
 )
@@ -111,10 +110,6 @@ def test_real_part_symmetries():
 
 
 def test_str_round_trip():
-    rng = random.Random(5)
-    for _ in range(20):
-        x = _random_oct(rng)
-        assert oct_from_str(oct_to_str(x)) == x
     assert oct_to_str(Octonion.zero()) == "0"
 
 

@@ -12,7 +12,10 @@ from fractions import Fraction
 import pytest
 
 from f4diagrams.diagram import CUP, MERGE, DiagramArityError, as_combo
+from f4diagrams.functor import trace_pairing
 from f4diagrams.relations import (
+    ALPHA,
+    DELTA,
     RelationSpec,
     catalog,
     check_relation,
@@ -99,6 +102,23 @@ def test_whole_catalog_holds_as_expected():
     for rep in checked:
         assert rep["holds"] == rep["expected_holds"], rep
         assert rep["basis_checked"] == 26 ** cat[rep["name"]].lhs.src, rep
+    assert elapsed < 120, f"took {elapsed:.2f}s, budget 120s"
+
+
+def test_trace_pairing_agrees_with_the_basis_scan():
+    # A second route that builds no basis tensor: the trace pairing is
+    # positive definite, so d = lhs - rhs is the zero map exactly when
+    # <d, d> = 0.
+    start = time.monotonic()
+    checked = 0
+    for name, spec in catalog().items():
+        if not spec.checkable:
+            continue
+        d = (spec.lhs - spec.rhs).specialize(ALPHA, DELTA)
+        assert (trace_pairing(d, d) == 0) == spec.expected_holds, name
+        checked += 1
+    elapsed = time.monotonic() - start
+    assert checked == 56
     assert elapsed < 120, f"took {elapsed:.2f}s, budget 120s"
 
 
