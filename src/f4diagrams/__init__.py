@@ -2,7 +2,8 @@
 
 Layers, bottom to top:
 
-* ``exactla``    -- rationals, matrices, rank/nullspace/inverse
+* ``exactla``    -- rationals, matrices, rank/nullspace/inverse, the one
+                   contractor of sparse integer tensor networks
 * ``ratfield``   -- the coefficient field Q(a, d) of rational functions
 * ``octonion``   -- the 8-dimensional composition algebra over Q
 * ``albert``     -- the 27-dim exceptional Jordan algebra, trace form, bases,

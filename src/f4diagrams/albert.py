@@ -27,13 +27,15 @@ coordinates of a traceless element off its basis_A coordinates.
 
 The structure constants of the product on basis_A are computed once, by
 ``jordan`` on the 378 unordered pairs of basis units, and kept as ints over
-the one denominator ``_JORDAN_DEN`` (every constant is 1 or +-1/2).  Every
-other table of the package -- the generator tensors on V, the Leibniz
-system of the derivations -- is a sparse linear consequence of that table
-and these two index maps.  ``functor`` reads the maps as two basis-change
-nodes, iota: V -> A from ``_V_IN_A`` and p: A -> V, the projection
-pi(x) = x - (tr x / 3) 1 read off through ``_A_TO_V`` over the scale 3,
-and builds each table on V as a network of them and the product table.
+the one denominator ``_JORDAN_DEN`` (every constant is 1 or +-1/2).  The
+contractor of ``exactla`` reads the product as the Jordan node J, keyed
+(input, input, output), and the unit and the trace as one node, 1 at the
+three diagonal units.  Every other table of the package -- the generator
+tensors on V, the Leibniz rule of the derivations -- is a network of those
+two nodes and these two index maps.  ``functor`` reads the maps as two
+basis-change nodes, iota: V -> A from ``_V_IN_A`` and p: A -> V, the
+projection pi(x) = x - (tr x / 3) 1 read off through ``_A_TO_V`` over the
+scale 3, and builds each table on V as a network of them and J.
 
 Diagonal entries are always Fractions.  ``AlbertElement(diag, off)``
 coerces and validates its arguments; the linear structure, the product
@@ -46,7 +48,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactla import RatMatrix
+from .exactla import RatMatrix, Scaled
 from .octonion import Octonion, oct_to_str
 
 ZERO = Fraction(0)
@@ -310,6 +312,27 @@ def _structure_table() -> Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]]:
                 table[(p, q)] = tuple((r, c.numerator) for r, c in enumerate(scaled) if c)
         _TABLE = table
     return _TABLE
+
+
+_JORDAN: Optional[Scaled] = None
+
+
+def _jordan_node() -> Scaled:
+    """The Jordan product as the node (_JORDAN_DEN, {(p, q, r): n}), keyed
+    (input, input, output) with both orders of p and q, built once."""
+    global _JORDAN
+    if _JORDAN is None:
+        tensor = {}
+        for (p, q), hits in _structure_table().items():
+            for r, n in hits:
+                tensor[(p, q, r)] = tensor[(q, p, r)] = n
+        _JORDAN = (_JORDAN_DEN, tensor)
+    return _JORDAN
+
+
+#: 1 at the three diagonal units: on an output wire the unit of A, on an
+#: input wire the trace on A
+_UNIT_TRACE: Scaled = (1, {(r,): 1 for r in range(3)})
 
 
 def left_mult_matrix(a: AlbertElement) -> RatMatrix:

@@ -1,46 +1,38 @@
 """Derivation Lie algebra of the Albert algebra, with exact certificates.
 
 A derivation of the 27-dimensional algebra A is a linear map D satisfying
-the Leibniz rule D(a o b) = D(a) o b + a o D(b).  Imposing the rule on all
-378 unordered basis pairs yields a homogeneous linear system of 10,206
-equations in the 729 matrix entries of D.  Its solution space is the Lie
-algebra of type F4, of dimension 52.
+the Leibniz rule D(a o b) = D(a) o b + a o D(b).  The rule is written
+once, as the networks ``_leibniz(D, m)`` of D . m - m . (D x 1) -
+m . (1 x D) on the contractor of ``exactla``; D is a derivation of m
+exactly when they contract to zero.  It has three uses:
 
-The nullspace is found by exact sparse Gaussian elimination over the
-rationals (each Leibniz row touches at most four unknowns), reduced to
-echelon form, and then *certified* in exact arithmetic:
+  * the solve: with D the node of the 729 unknown matrix entries and m the
+    Jordan node J of ``albert``, the rule on the 378 unordered basis pairs
+    is a homogeneous linear system (9,063 nonzero rows), solved by exact
+    sparse Gaussian elimination over the rationals and reduced to echelon
+    form.  Its rank must be exactly 677, so the solution space, the Lie
+    algebra of type F4, has dimension exactly 729 - 677 = 52;
+  * the certificate: each of the 52 vectors, as a node D, must make
+    ``_leibniz(D, J)``, D(1) and tr . D contract to zero, and the vectors
+    must carry a reduced-echelon sparsity pattern (each is 1 at its own
+    free column and 0 at the others), so their independence is
+    immediate.  Both checks run again on every cache load;
+  * equivariance: check_equivariance() contracts ``_leibniz(D, merge)``
+    for each derivation restricted to V -- the network iota ; D ; p of
+    restricted_basis(), where iota embeds V in A and p projects A onto V
+    -- and, on the same contractor, checks that the pairing is skew under
+    (D x 1 + 1 x D) and that the copairing is annihilated by it.
 
-  * the rank of the whole system is exactly 677, so its nullity is exactly
-    729 - 677 = 52;
-  * every basis matrix is checked against all 378 pair equations (integer
-    arithmetic, denominators cleared), must kill the unit, and must map
-    every basis element to a traceless one;
-  * the 52 vectors carry a reduced-echelon sparsity pattern (each is 1 at
-    its own free column and 0 at the others), so their independence is
-    immediate.
-
-The last two checks run again on every cache load.  The basis is cached
-as plain text (one 27x27 block of rationals per derivation) under
-F4DIAGRAMS_CACHE_DIR, default ~/.cache/f4diagrams; a fingerprint of the
-structure constants guards the cache against basis-convention drift.
-
-The Leibniz system, its certificate and the fingerprint all read the one
-table of Jordan structure constants that ``albert`` builds, as ints over
-its denominator.
-
-restricted_basis() restricts each derivation to the traceless part V as
-the network iota ; D ; p on the evaluator's one contractor, where iota
-embeds V in A and p projects A onto V; each restricted D is an integer
-1->1 node.  check_equivariance() verifies with the same contractor,
-exactly, that the three generator tensors are infinitesimally invariant:
-the product tensor satisfies the Leibniz rule, the pairing is skew under
-(D x 1 + 1 x D), and the copairing is annihilated by it.
+bracket() and in_span() are contractions of the basis nodes too.  The
+basis is cached as plain text (one 27x27 block of rationals per
+derivation) under F4DIAGRAMS_CACHE_DIR, default ~/.cache/f4diagrams; a
+fingerprint of the structure constants guards the cache against
+basis-convention drift.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import tempfile
 import warnings
@@ -50,12 +42,14 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .albert import (
     _JORDAN_DEN,
+    _UNIT_TRACE,
     AlbertElement,
     _from_coords_A,
+    _jordan_node,
     _structure_table,
     coords_A,
 )
-from .exactla import RatMatrix, sparse_nullspace
+from .exactla import Node, RatMatrix, Scaled, _scaled, contract_sum, sparse_nullspace
 
 N_A = 27
 N_UNKNOWNS = N_A * N_A
@@ -68,9 +62,11 @@ _CACHE_FILE = "derivation_basis.txt"
 
 @dataclass(frozen=True)
 class Derivation:
-    """A derivation of A, stored as its 27x27 matrix on the fixed basis."""
+    """A derivation of A: its 27x27 matrix on the fixed basis, and the same
+    map as a node keyed (input, output)."""
 
     matrix: RatMatrix
+    node: Scaled
 
     def apply_coords(self, coords: Sequence[Fraction]) -> List[Fraction]:
         return self.matrix.mul_vec(list(coords))
@@ -80,37 +76,34 @@ class Derivation:
 
 
 # ---------------------------------------------------------------------------
-# structure constants of the Jordan product on the fixed basis
+# the Leibniz rule
 # ---------------------------------------------------------------------------
 
-_TRANS: Optional[dict] = None
+#: wires: the inputs x, y and the output z of a product, w an inner wire, u a
+#: spare (the column of an unknown, or a second inner wire)
+X, Y, Z, W, U = range(5)
 
 
-def _structure_tables() -> Tuple[dict, dict]:
-    """The product table P and its slice index PT, ints over _JORDAN_DEN.
+def _leibniz(d: Scaled, product: Scaled, *tail: int) -> List[Tuple[int, List[Node]]]:
+    """D . m - m . (D x 1) - m . (1 x D) as networks on inputs x, y and
+    output z, for d keyed (input, output, *tail) and m keyed (input, input,
+    output); D is a derivation of m exactly when their sum contracts to
+    zero."""
+    return [
+        (1, [((X, Y, W), product), ((W, Z) + tail, d)]),
+        (-1, [((X, W) + tail, d), ((W, Y, Z), product)]),
+        (-1, [((Y, W) + tail, d), ((X, W, Z), product)]),
+    ]
 
-    P is ``albert``'s table: P[(i,j)] (i <= j) lists (k, n) with
-    (b_i o b_j) having coordinate n / _JORDAN_DEN at b_k.  PT[(j,k)] lists
-    (r, n) with (b_r o b_j) having coordinate n / _JORDAN_DEN at b_k,
-    ranging over all r — the transpose view needed to assemble Leibniz
-    rows without rescanning the table.  PT is built once.
-    """
-    global _TRANS
-    prod = _structure_table()
-    if _TRANS is None:
-        trans: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        for (i, j), entries in prod.items():
-            for k, n in entries:
-                trans.setdefault((j, k), []).append((i, n))
-                if i != j:
-                    trans.setdefault((i, k), []).append((j, n))
-        _TRANS = {key: tuple(sorted(val)) for key, val in trans.items()}
-    return prod, _TRANS
+
+def _node(vec: Sequence[Fraction]) -> Scaled:
+    """The map with entry D[r][c] = vec[27*r + c] as a node keyed (input c, output r)."""
+    return _scaled({(u % N_A, u // N_A): v for u, v in enumerate(vec) if v})
 
 
 def _conventions_fingerprint() -> str:
     """Hash of the structure constants; changes iff basis conventions do."""
-    prod, _ = _structure_tables()
+    prod = _structure_table()
     lines = []
     for (i, j) in sorted(prod):
         for k, n in prod[(i, j)]:
@@ -122,27 +115,23 @@ def _conventions_fingerprint() -> str:
 def _equation_rows() -> Iterator[Dict[int, int]]:
     """Sparse rows {column: coefficient} of the Leibniz system, one at a time.
 
-    Unknown (r, c) — entry D[r][c] — lives at column 27*r + c.  For each
-    basis pair i <= j and each target coordinate k the row encodes
-    (D(b_i o b_j))_k - (D(b_i) o b_j)_k - (b_i o D(b_j))_k = 0, times
-    _JORDAN_DEN so that its coefficients are ints.
+    Unknown D[r][c] lives at column 27*r + c: D is the node of all unknowns,
+    keyed (input c, output r, column 27*r + c), so ``_leibniz`` with it is
+    the system, keyed (x, y, z, column).  It is contracted for one input
+    b_i at a time, a one-hot node on wire x, and yields the rows of the
+    pairs i <= j, for each target coordinate k, in (i, j, k) order; rows
+    that vanish are left out.
     """
-    prod, trans = _structure_tables()
+    unknowns = (1, {(c, r, N_A * r + c): 1 for r in range(N_A) for c in range(N_A)})
+    rule = _leibniz(unknowns, _jordan_node(), U)
     for i in range(N_A):
-        for j in range(i, N_A):
-            pij = prod[(i, j)]
-            for k in range(N_A):
-                acc: Dict[int, int] = {}
-                for m, n in pij:
-                    key = N_A * k + m
-                    acc[key] = acc.get(key, 0) + n
-                for r, n in trans.get((j, k), ()):
-                    key = N_A * r + i
-                    acc[key] = acc.get(key, 0) - n
-                for r, n in trans.get((i, k), ()):
-                    key = N_A * r + j
-                    acc[key] = acc.get(key, 0) - n
-                yield acc
+        b_i = ((X,), (1, {(i,): 1}))
+        rows: Dict[Tuple[int, int], Dict[int, int]] = {}
+        for (j, k, u), n in contract_sum([(c, net + [b_i]) for c, net in rule], (Y, Z, U))[1].items():
+            if j >= i:
+                rows.setdefault((j, k), {})[u] = n
+        for jk in sorted(rows):
+            yield rows[jk]
 
 
 # ---------------------------------------------------------------------------
@@ -150,39 +139,18 @@ def _equation_rows() -> Iterator[Dict[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _certify_leibniz(rows: List[List[Fraction]]) -> bool:
-    """Exact check of all 378 pair equations, in cleared-integer arithmetic."""
-    prod, trans = _structure_tables()
-    den = 1
-    for row in rows:
-        for v in row:
-            den = den * v.denominator // math.gcd(den, v.denominator)
-    di = [[int(v * den) for v in row] for row in rows]
-    for i in range(N_A):
-        for j in range(i, N_A):
-            pij = prod[(i, j)]
-            for k in range(N_A):
-                lhs = 0
-                for m, c in pij:
-                    lhs += di[k][m] * c
-                rhs = 0
-                for r, c in trans.get((j, k), ()):
-                    rhs += di[r][i] * c
-                for r, c in trans.get((i, k), ()):
-                    rhs += di[r][j] * c
-                if lhs != rhs:
-                    return False
-    return True
-
-
-def _certify_unit_and_trace(rows: List[List[Fraction]]) -> bool:
-    """D(1) = 0 (unit is the sum of the three diagonal idempotents) and
-    tr(D(b_j)) = 0 for every j."""
-    for r in range(N_A):
-        if rows[r][0] + rows[r][1] + rows[r][2] != 0:
-            return False
-    for j in range(N_A):
-        if rows[0][j] + rows[1][j] + rows[2][j] != 0:
+def _certified(flat: List[List[Fraction]]) -> bool:
+    """52 vectors, each a derivation D that kills the unit and lands in
+    ker tr: ``_leibniz(D, J)``, D(1) and tr . D all contract to zero."""
+    if len(flat) != DIM_DER:
+        return False
+    for d in map(_node, flat):
+        checks = (
+            (_leibniz(d, _jordan_node()), (X, Y, Z)),
+            ([(1, [((X,), _UNIT_TRACE), ((X, Z), d)])], (Z,)),
+            ([(1, [((X, Z), d), ((Z,), _UNIT_TRACE)])], (X,)),
+        )
+        if any(contract_sum(parts, boundary)[1] for parts, boundary in checks):
             return False
     return True
 
@@ -277,7 +245,7 @@ def _read_cache(path: str) -> Optional[List[RatMatrix]]:
 
 _BASIS: Optional[List[Derivation]] = None
 _FREE_COLS: Optional[List[int]] = None
-_RESTRICTED: Optional[List[Tuple[int, Dict[Tuple[int, int], int]]]] = None
+_RESTRICTED: Optional[List[Scaled]] = None
 
 
 def _compute_basis_fresh() -> List[List[Fraction]]:
@@ -329,56 +297,36 @@ def derivation_basis() -> List[Derivation]:
         except OSError as exc:
             warnings.warn(f"derivation basis not cached at {path}: {exc}", RuntimeWarning)
     _FREE_COLS = free
-    _BASIS = [Derivation(m) for m in mats]
+    _BASIS = [Derivation(m, _node(vec)) for m, vec in zip(mats, flat)]
     return list(_BASIS)
 
 
-def _certified(flat: List[List[Fraction]]) -> bool:
-    if len(flat) != DIM_DER:
-        return False
-    for vec in flat:
-        rows = [vec[N_A * r : N_A * (r + 1)] for r in range(N_A)]
-        if not _certify_unit_and_trace(rows):
-            return False
-        if not _certify_leibniz(rows):
-            return False
-    return True
-
-
-def in_span(matrix: RatMatrix) -> bool:
-    """Exact membership of a 27x27 matrix in the span of the basis.
+def in_span(node: Scaled) -> bool:
+    """Exact membership of a linear map of A, a node keyed (input, output),
+    in the span of the basis.
 
     The basis is echelon-shaped, so the only possible coefficients are the
-    candidate's values at the marker columns; membership holds iff that
-    combination reproduces the candidate exactly.
+    node's values at the marker columns (entry (c, r) is at column
+    27*r + c); membership holds iff that combination of the basis nodes,
+    minus the node, contracts to zero.
     """
     basis = derivation_basis()
     assert _FREE_COLS is not None
-    vec = [matrix.data[r][c] for r in range(N_A) for c in range(N_A)]
-    coeffs = [vec[c] for c in _FREE_COLS]
-    residual = list(vec)
-    for coeff, d in zip(coeffs, basis):
-        if not coeff:
-            continue
-        i = 0
-        for r in range(N_A):
-            row = d.matrix.data[r]
-            for c in range(N_A):
-                residual[i] -= coeff * row[c]
-                i += 1
-    return all(x == 0 for x in residual)
+    scale, tensor = node
+    parts = [(-1, [((X, Z), node)])] + [
+        (Fraction(tensor.get((f % N_A, f // N_A), 0), scale), [((X, Z), d.node)])
+        for f, d in zip(_FREE_COLS, basis)
+    ]
+    return not contract_sum(parts, (X, Z))[1]
 
 
-def bracket(d1: Derivation, d2: Derivation) -> RatMatrix:
-    """The commutator [D1, D2] = D1 D2 - D2 D1 (again a derivation)."""
-    a, b = d1.matrix, d2.matrix
-    ab = a.matmul(b)
-    ba = b.matmul(a)
-    out = RatMatrix(N_A, N_A)
-    for r in range(N_A):
-        for c in range(N_A):
-            out.data[r][c] = ab.data[r][c] - ba.data[r][c]
-    return out
+def bracket(d1: Derivation, d2: Derivation) -> Scaled:
+    """The commutator [D1, D2] = D1 D2 - D2 D1 (again a derivation), as a
+    node keyed (input, output)."""
+    return contract_sum(
+        [(1, [((X, W), d2.node), ((W, Z), d1.node)]), (-1, [((X, W), d1.node), ((W, Z), d2.node)])],
+        (X, Z),
+    )
 
 
 def check_bracket_closure(
@@ -399,26 +347,22 @@ def check_bracket_closure(
 # ---------------------------------------------------------------------------
 
 
-def restricted_basis() -> List[Tuple[int, Dict[Tuple[int, int], int]]]:
+def restricted_basis() -> List[Scaled]:
     """The 52 derivations as integer 1->1 nodes on V, keyed (input, output).
 
     A derivation maps every basis element to a traceless one (the
     certificate checks it), so it preserves V = ker tr.  Its restriction
-    is the network iota ; D ; p on the evaluator's contractor, with D its
-    27x27 matrix as a node keyed (input, output) and iota, p the
-    basis-change nodes between V and A.
+    is the network iota ; D ; p, with D the derivation's node and iota, p
+    the basis-change nodes between V and A.
     """
     global _RESTRICTED
     if _RESTRICTED is None:
-        from .functor import _IOTA, _PROJ, _scaled, contract_sum
+        from .functor import _IOTA, _PROJ
 
-        x, a, b, z = range(4)
-        out = []
-        for d in derivation_basis():
-            rows = enumerate(d.matrix.data)
-            node = _scaled({(c, r): v for r, row in rows for c, v in enumerate(row) if v})
-            out.append(contract_sum([(1, [((x, a), _IOTA), ((a, b), node), ((b, z), _PROJ)])], (x, z)))
-        _RESTRICTED = out
+        _RESTRICTED = [
+            contract_sum([(1, [((X, W), _IOTA), ((W, U), d.node), ((U, Z), _PROJ)])], (X, Z))
+            for d in derivation_basis()
+        ]
     return list(_RESTRICTED)
 
 
@@ -429,32 +373,27 @@ def check_equivariance() -> Dict[str, object]:
     (input, output), and each identity is a sum of networks over it and
     the generator nodes, contracted and summed by ``contract_sum``; it
     holds when the sum is empty, on every basis input:
-      * merge: D . merge - merge . (D x 1) - merge . (1 x D) = 0;
+      * merge: the Leibniz rule ``_leibniz(D, merge)``;
       * cap:   cap . (D x 1 + 1 x D) = 0;
       * cup:   (D x 1 + 1 x D) . cup = 0.
     """
     from .diagram import CAP, CUP, MERGE
-    from .functor import contract_sum, generator_tensors
+    from .functor import generator_tensors
 
     nodes = generator_tensors()
     merge, cap, cup = nodes[MERGE], nodes[CAP], nodes[CUP]
     restricted = restricted_basis()
-    x, y, z, w = range(4)  # boundary wires x, y, z; w is contracted
     ok = {"merge": True, "cap": True, "cup": True}
     for d in restricted:
         identities = {
-            "merge": ((x, y, z), [
-                (1, [((x, y, w), merge), ((w, z), d)]),
-                (-1, [((x, w), d), ((w, y, z), merge)]),
-                (-1, [((y, w), d), ((x, w, z), merge)]),
+            "merge": ((X, Y, Z), _leibniz(d, merge)),
+            "cap": ((X, Y), [
+                (1, [((X, W), d), ((W, Y), cap)]),
+                (1, [((Y, W), d), ((X, W), cap)]),
             ]),
-            "cap": ((x, y), [
-                (1, [((x, w), d), ((w, y), cap)]),
-                (1, [((y, w), d), ((x, w), cap)]),
-            ]),
-            "cup": ((x, y), [
-                (1, [((w, y), cup), ((w, x), d)]),
-                (1, [((x, w), cup), ((w, y), d)]),
+            "cup": ((X, Y), [
+                (1, [((W, Y), cup), ((W, X), d)]),
+                (1, [((X, W), cup), ((W, Y), d)]),
             ]),
         }
         for name, (boundary, parts) in identities.items():

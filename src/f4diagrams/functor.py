@@ -10,30 +10,27 @@ dim 26):
     split -> a |-> sum_b b (x) projection of (b-dual o a)
 
 is monoidal, so the value of a term is the contraction of its generator
-tensors along its wires, and that one operation is the whole evaluator.  A
-term becomes a network of generator nodes joined by wires (crossings only
-permute wires), with its input and output strands as boundary ports, and
-the network is contracted pairwise in a greedy smallest-intermediate order.
-``phi_tensor`` keeps every boundary port (``phi_closed`` is the case with
-none); ``scan_basis`` counts each input's nonzero outputs in that same
-tensor; ``apply_combo_to_basis`` and ``apply_term_sparse`` add one more
-node, the input state, on the input wires and keep only the outputs.  A
+tensors along its wires.  A term becomes a network of generator nodes
+joined by wires (crossings only permute wires), with its input and output
+strands as boundary ports, and the package's one contractor, in
+``exactla``, contracts it; this module adds what is particular to diagrams
+on V: a boundary wire that no node touches (a through strand) ranges over
+all DIM values, up to MAX_PHI_ENTRIES entries.  ``phi_tensor`` keeps every
+boundary port (``phi_closed`` is the case with none); ``scan_basis``
+counts each input's nonzero outputs in that same tensor;
+``apply_combo_to_basis`` and ``apply_term_sparse`` add one more node, the
+input state, on the input wires and keep only the outputs.  A
 creation-order strategy exists solely so tests can confirm the result is
-order-independent.  ``contract_sum`` opens the same contractor to networks
-of raw integer nodes.  The generator tables are built with it, from the
-Jordan structure constants of ``albert`` and two basis-change nodes, iota
-(V -> A) and p (A -> V, the projection pi read off in basis_V); and
-``derivations`` restricts each derivation to V as iota ; D ; p and checks
-equivariance with it.
+order-independent.  The generator tables are networks too, of the Jordan
+and trace nodes of ``albert`` and two basis-change nodes, iota (V -> A)
+and p (A -> V, the projection pi read off in basis_V); ``derivations``
+restricts each derivation to V as iota ; D ; p.
 
-States and tensors are sparse dictionaries keyed by index tuples.  Inside
-the module the values are Python ints over one scale per term: each
-generator's node tensor is stored scaled by the least common denominator of
-its entries, and a term's scale is the product of its nodes' scales, so the
-contraction multiplies and adds ints only.  Every evaluation divides the
-scale back out and returns a {index-tuple: Fraction} dictionary (or a
-Fraction scalar).  Everything is exact -- the whole module contains no
-floats.
+Each generator's node tensor is stored as ints over the least common
+denominator of its entries, and a term's scale is the product of its
+nodes' scales.  Every evaluation divides the scale back out and returns a
+{index-tuple: Fraction} dictionary (or a Fraction scalar).  Everything is
+exact -- the whole module contains no floats.
 """
 
 from __future__ import annotations
@@ -41,11 +38,10 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
-from operator import itemgetter
+from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .albert import _A_TO_V, _JORDAN_DEN, _V_IN_A, _structure_table
+from .albert import _A_TO_V, _UNIT_TRACE, _V_IN_A, _jordan_node
 from .diagram import (
     CAP,
     CROSS,
@@ -63,15 +59,23 @@ from .diagram import (
     tensor_all,
     to_layers,
 )
-from .exactla import RatMatrix
+from .exactla import (
+    IntSparse,
+    Node,
+    RatMatrix,
+    Scaled,
+    _combo_sum,
+    _contract_network,
+    _over,
+    _project,
+    _scaled,
+    contract_sum,
+)
 
 ZERO = Fraction(0)
 DIM = 26
 
 Sparse = Dict[Tuple[int, ...], Fraction]
-IntSparse = Dict[Tuple[int, ...], int]
-Scaled = Tuple[int, IntSparse]  # (scale, integer tensor): the exact tensor is tensor / scale
-Node = Tuple[Sequence[int], Scaled]  # (wire ids, one per tensor index position; tensor)
 
 #: largest number of entries a whole-term tensor may have once the boundary
 #: wires that no node touches (through strands) are expanded over all DIM
@@ -84,17 +88,6 @@ MAX_PHI_ENTRIES = DIM**4
 # ---------------------------------------------------------------------------
 # generator tensors
 # ---------------------------------------------------------------------------
-
-
-def _over(c: Fraction, scale: int) -> int:
-    """The integer c * scale; scale must be a multiple of c's denominator."""
-    return c.numerator * (scale // c.denominator)
-
-
-def _scaled(table: Dict[Tuple[int, ...], Fraction]) -> Scaled:
-    """A Fraction table as (scale, ints), scale the least common denominator."""
-    scale = lcm(*{c.denominator for c in table.values()})
-    return scale, {ports: _over(c, scale) for ports, c in table.items()}
 
 
 #: the change of basis between V and A as 1->1 nodes keyed (input, output):
@@ -118,23 +111,19 @@ def generator_tensors() -> Dict[Gen, Scaled]:
     ``(i, j, k)`` for merge, ``(k, i, j)`` for split -- and its int entries
     are the exact ones times ``scale``, their least common denominator.  A
     crossing only permutes wires, so it has no table.  Each table is a
-    network on the one contractor: with J the Jordan structure constants
-    of ``albert`` as a 2->1 node over ``_JORDAN_DEN``, merge is
-    (iota x iota) ; J ; p and cap is (iota x iota) ; J ; tr; cup is the
-    inverse of the Gram matrix cap, checked exactly; and split is
+    network on the one contractor: with J and tr the Jordan and trace
+    nodes of ``albert``, merge is (iota x iota) ; J ; p and cap is
+    (iota x iota) ; J ; tr; cup is the inverse of the Gram matrix cap,
+    checked exactly; and split is
     (cup x 1) ; (1 x merge), which is b_k -> sum_i b_i (x) pi(b~_i o b_k)
     for the dual basis b~.
     """
     global _NODES
     if _NODES is None:
-        jordan: IntSparse = {}
-        for (p, q), hits in _structure_table().items():
-            for r, n in hits:
-                jordan[(p, q, r)] = jordan[(q, p, r)] = n
         x, y, z, a, b, c = range(6)
-        vertex = [((x, a), _IOTA), ((y, b), _IOTA), ((a, b, c), (_JORDAN_DEN, jordan))]
+        vertex = [((x, a), _IOTA), ((y, b), _IOTA), ((a, b, c), _jordan_node())]
         merge = contract_sum([(1, vertex + [((c, z), _PROJ)])], (x, y, z))
-        cap = contract_sum([(1, vertex + [((c,), (1, {(r,): 1 for r in range(3)}))])], (x, y))
+        cap = contract_sum([(1, vertex + [((c,), _UNIT_TRACE)])], (x, y))
 
         gram = RatMatrix(DIM, DIM)
         for (i, j), n in cap[1].items():
@@ -150,20 +139,8 @@ def generator_tensors() -> Dict[Gen, Scaled]:
 
 
 # ---------------------------------------------------------------------------
-# tensor-network contraction
+# diagram networks
 # ---------------------------------------------------------------------------
-
-
-class _Node:
-    __slots__ = ("ports", "tensor")
-
-    def __init__(self, ports: List[int], tensor: IntSparse):
-        self.ports = ports  # wire ids, one per tensor index position
-        self.tensor = tensor
-
-
-def _prune(d: dict) -> dict:
-    return {k: v for k, v in d.items() if v}
 
 
 def _network_of(term: DiagramTerm) -> Tuple[List[Node], List[int], List[int]]:
@@ -198,73 +175,14 @@ def _network_of(term: DiagramTerm) -> Tuple[List[Node], List[int], List[int]]:
     return network, inputs, wires
 
 
-def _project(positions: List[int]) -> itemgetter:
-    """An itemgetter projecting a key onto ``positions``, always to a tuple
-    (a run of consecutive positions, including none or one, is a slice)."""
-    lo = positions[0] if positions else 0
-    if positions == list(range(lo, lo + len(positions))):
-        return itemgetter(slice(lo, lo + len(positions)))
-    return itemgetter(*positions)
-
-
-def _contract_pair(a: _Node, b: _Node) -> _Node:
-    shared = [w for w in a.ports if w in b.ports]
-    a_pos = [a.ports.index(w) for w in shared]
-    b_pos = [b.ports.index(w) for w in shared]
-    a_keep = [p for p in range(len(a.ports)) if p not in a_pos]
-    b_keep = [p for p in range(len(b.ports)) if p not in b_pos]
-
-    a_match, a_head = _project(a_pos), _project(a_keep)
-    b_match, b_tail = _project(b_pos), _project(b_keep)
-    buckets: Dict[Tuple[int, ...], List[Tuple[Tuple[int, ...], int]]] = {}
-    for key, c in b.tensor.items():
-        buckets.setdefault(b_match(key), []).append((b_tail(key), c))
-
-    out: IntSparse = {}
-    for key, c in a.tensor.items():
-        hit = buckets.get(a_match(key))
-        if not hit:
-            continue
-        head = a_head(key)
-        for tail, bc in hit:
-            k = head + tail
-            out[k] = out.get(k, 0) + c * bc
-    ports = [a.ports[p] for p in a_keep] + [b.ports[p] for p in b_keep]
-    return _Node(ports, _prune(out))
-
-
-def _contract_network(nodes: List[_Node], boundary: List[int], strategy: str) -> IntSparse:
-    """Contract every internal wire; the result is keyed by the values of
-    the boundary wires, in the order given.  A boundary wire that no node
-    touches (a through strand) ranges over all DIM values; a result that
-    would exceed MAX_PHI_ENTRIES entries raises ValueError instead."""
-    nodes = list(nodes)
-    while len(nodes) > 1:
-        best = None
-        for x in range(len(nodes)):
-            px = set(nodes[x].ports)
-            for y in range(x + 1, len(nodes)):
-                shared = px.intersection(nodes[y].ports)
-                if not shared:
-                    continue
-                open_ports = len(nodes[x].ports) + len(nodes[y].ports) - 2 * len(shared)
-                if strategy == "greedy":
-                    cost = (open_ports, len(nodes[x].tensor) * len(nodes[y].tensor), x, y)
-                else:  # first-created pair; exists for order-independence tests
-                    cost = (x, y)
-                if best is None or cost < best[0]:
-                    best = (cost, x, y)
-        if best is None:
-            # disconnected components: outer product of the smallest pair
-            x, y = sorted(range(len(nodes)), key=lambda i: (len(nodes[i].tensor), i))[:2]
-        else:
-            _, x, y = best
-        merged = _contract_pair(nodes[x], nodes[y])
-        nodes = [nd for i, nd in enumerate(nodes) if i not in (x, y)]
-        nodes.append(merged)
-    final = nodes[0] if nodes else _Node([], {(): 1})
-    through = sorted(set(boundary) - set(final.ports))
-    entries = len(final.tensor) * DIM ** len(through)
+def _contract(network: Sequence[Node], boundary: Sequence[int], strategy: str = "greedy") -> Scaled:
+    """A network's tensor keyed by its boundary wires, with its scale, the
+    product of its nodes' scales.  A boundary wire that no node touches (a
+    through strand) ranges over all DIM values; a result that would exceed
+    MAX_PHI_ENTRIES entries raises ValueError instead."""
+    scale, ports, tensor = _contract_network(network, strategy)
+    through = sorted(set(boundary) - set(ports))
+    entries = len(tensor) * DIM ** len(through)
     if entries > MAX_PHI_ENTRIES:
         raise ValueError(
             f"tensor would have {entries} entries ({len(through)} through strands), "
@@ -273,42 +191,13 @@ def _contract_network(nodes: List[_Node], boundary: List[int], strategy: str) ->
     # positions in key + vals, the final node's key followed by the values
     # of the through wires
     pick = _project([
-        final.ports.index(w) if w in final.ports else len(final.ports) + through.index(w)
-        for w in boundary
+        ports.index(w) if w in ports else len(ports) + through.index(w) for w in boundary
     ])
     out: IntSparse = {}
-    for key, c in final.tensor.items():
+    for key, c in tensor.items():
         for vals in product(range(DIM), repeat=len(through)):
             out[pick(key + vals)] = c
-    return out
-
-
-def _contract(network: Sequence[Node], boundary: Sequence[int], strategy: str = "greedy") -> Scaled:
-    """A network's tensor keyed by its boundary wires, with its scale, the
-    product of its nodes' scales."""
-    scale, nodes = 1, []
-    for ports, (s, tensor) in network:
-        scale *= s
-        nodes.append(_Node(list(ports), tensor))
-    return scale, _contract_network(nodes, list(boundary), strategy)
-
-
-def contract_sum(parts: Iterable[Tuple[Fraction, Sequence[Node]]], boundary: Sequence[int]) -> Scaled:
-    """The sum of coeff * (contraction of the network) over (coeff, network)
-    parts, keyed by the boundary wires in the order given.
-
-    A network is a list of nodes ``(ports, (scale, int tensor))``: each port
-    is a wire id, and a wire that two nodes share is contracted.  Returns
-    (den, total) on ints in lowest terms, the sum being total / den, with no
-    zero entries, so the sum is the zero map exactly when total is empty.
-    This is the one contractor every diagram goes through, open to nodes
-    that are not generators (the Jordan product, a derivation, the change
-    of basis between V and A) and to the generator tables while they are
-    being built.
-    """
-    den, total = _combo_sum((Fraction(coeff), _contract(net, boundary)) for coeff, net in parts)
-    g = gcd(den, *total.values())
-    return den // g, {k: n // g for k, n in total.items()}
+    return scale, out
 
 
 # ---------------------------------------------------------------------------
@@ -346,22 +235,6 @@ def _apply(term: DiagramTerm, state: IntSparse, den: int) -> Scaled:
     network, inputs, outputs = _network_of(term)
     network.append((inputs, (den, state)))
     return _contract(network, outputs)
-
-
-def _combo_sum(parts: Iterable[Tuple[Fraction, Scaled]]) -> Scaled:
-    """Sum coeff * tensor / scale over (coeff, (scale, tensor)) parts on
-    ints.  Returns (den, total), the sum being total / den."""
-    den, acc = 1, {}
-    for coeff, (scale, tensor) in parts:
-        d = coeff.denominator * scale
-        if den % d:
-            grow = lcm(den, d) // den
-            acc = {k: n * grow for k, n in acc.items()}
-            den *= grow
-        m = coeff.numerator * (den // d)
-        for k, n in tensor.items():
-            acc[k] = acc.get(k, 0) + m * n
-    return den, _prune(acc)
 
 
 def _fractions(scaled: Scaled) -> Sparse:

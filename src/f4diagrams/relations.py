@@ -47,12 +47,11 @@ from .diagram import (
     tensor_all,
     zero_combo,
 )
+from .exactla import _scaled, contract_sum
 from .functor import (
-    _scaled,
     apply_combo_to_basis,
     basis_indices,
     closure,
-    contract_sum,
     generator_tensors,
     phi_closed,
     phi_tensor,

@@ -11,7 +11,6 @@ import pytest
 
 import f4diagrams.derivations as dv
 from f4diagrams.albert import AlbertElement, alb_trace, basis_V, coords_A, coords_V, jordan
-from f4diagrams.exactla import RatMatrix
 from f4diagrams.octonion import Octonion
 
 # sha256 of a solved basis, entry by entry, as bench/worker.py's basis_digest
@@ -65,13 +64,20 @@ def test_leibniz_on_random_elements():
 
 def test_bracket_stays_in_span():
     basis = dv.derivation_basis()
-    assert dv.in_span(dv.bracket(basis[4], basis[31]))
+    scale, node = dv.bracket(basis[4], basis[31])
+    assert dv.in_span((scale, node))
+    # the node is the dense commutator AB - BA, keyed (input, output)
+    a, b = basis[4].matrix, basis[31].matrix
+    ab, ba = a.matmul(b), b.matmul(a)
+    assert {(c, r): Fraction(n, scale) for (c, r), n in node.items()} == {
+        (c, r): ab[r, c] - ba[r, c] for r in range(27) for c in range(27) if ab[r, c] != ba[r, c]
+    }
     report = dv.check_bracket_closure(samples=((0, 1), (10, 44)))
     assert report["holds"]
 
 
 def test_identity_is_not_a_derivation():
-    assert not dv.in_span(RatMatrix.identity(27))
+    assert not dv.in_span((1, {(i, i): 1 for i in range(27)}))
 
 
 def test_conventions_fingerprint_is_pinned():
@@ -160,6 +166,17 @@ def test_tampered_cache_is_repaired():
     assert not any(name.endswith(".tmp") for name in os.listdir(os.path.dirname(path)))
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_certificate_rejects_a_tampered_entry(seed):
+    # one entry of one matrix changed by +1, as bench/run.py's tamper does:
+    # the file would still parse, but the matrix is no longer a derivation
+    flat = _flat(d.matrix for d in dv.derivation_basis())
+    rng = random.Random(seed)
+    f, u = rng.randrange(len(flat)), rng.randrange(27 * 27)
+    flat[f][u] += 1
+    assert not dv._certified(flat)
+
+
 def test_undecodable_cache_is_repaired():
     basis = dv.derivation_basis()
     path = dv._cache_path()
@@ -220,3 +237,16 @@ def test_cold_solve_imports_no_numpy(tmp_path):
     # the solve needs neither numpy nor the evaluator
     assert out.stdout.strip() == "False False"
     assert os.path.exists(tmp_path / "derivation_basis.txt")
+    # nor does a load of the now warm cache and the bracket check after it
+    code = (
+        "import sys\n"
+        "from f4diagrams.derivations import check_bracket_closure, derivation_basis\n"
+        "assert len(derivation_basis()) == 52\n"
+        "assert check_bracket_closure()['holds']\n"
+        "print(*(m in sys.modules for m in ('numpy', 'f4diagrams.functor', 'f4diagrams.diagram')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False False False"

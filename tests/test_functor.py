@@ -229,6 +229,15 @@ def test_closure_of_a_deep_identity_builds():
     assert coeff == 1 and len(to_layers(term)) == 800
 
 
+def test_deep_identity_closes_in_linear_steps():
+    # 600 nodes in one chain: each greedy step offers only the pairs of the
+    # node it made, so the contraction is not quadratic in the node count.
+    closed = closure(as_combo(Id(300)))
+    t0 = time.perf_counter()
+    assert phi_closed(closed) == 26**300
+    assert time.perf_counter() - t0 < 5
+
+
 @pytest.mark.parametrize("spanning", [bigfive_list, brutal_list])
 def test_gram_matrices_are_positive_definite(spanning):
     # Sylvester's criterion: every pivot of Fraction elimination without
