@@ -7,7 +7,7 @@ Layers, bottom to top:
 * ``ratfield``   -- the coefficient field Q(a, d) of rational functions
 * ``octonion``   -- the 8-dimensional composition algebra over Q
 * ``albert``     -- the 27-dim exceptional Jordan algebra, trace form, bases,
-                   the one table of structure constants
+                   the Jordan node contracted from the octonion table
 * ``diagram``    -- string-diagram terms, combos, parser, rot/switch/mirror
 * ``functor``    -- evaluation of diagrams as exact multilinear maps on V^(n)
 * ``relations``  -- the relation catalog and the exact verifier

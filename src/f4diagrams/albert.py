@@ -9,7 +9,9 @@ Elements are 3x3 self-adjoint octonionic matrices
 stored as three rational diagonal entries plus the three octonions
 x1, x2, x3.  The product is the symmetrized matrix product
 a o b = (ab + ba)/2, computed by honest octonionic matrix multiplication
-(no hand-derived structure-constant shortcuts).
+(no hand-derived structure-constant shortcuts), in two independent ways:
+``jordan`` multiplies element objects, and the Jordan node J below is a
+contraction of ``octonion.MULT_TABLE``.
 
 V = ker(tr) is 26-dimensional; its fixed rational basis is
 
@@ -22,20 +24,21 @@ V = ker(tr) is 26-dimensional; its fixed rational basis is
 An orthonormal basis would need sqrt(2) and sqrt(6); staying rational and
 inverting the Gram matrix for the dual basis keeps every downstream tensor
 in Q.  This module alone knows that convention: ``_V_IN_A`` writes each
-basis_V vector in basis_A coordinates, and ``_A_TO_V`` reads the basis_V
-coordinates of a traceless element off its basis_A coordinates.
+basis_V vector in basis_A coordinates, ``_A_TO_V`` reads the basis_V
+coordinates of a traceless element off its basis_A coordinates, and the
+nodes ``_IOTA`` (iota: V -> A) and ``_PROJ`` (p: A -> V, the projection
+pi(x) = x - (tr x / 3) 1 read off through ``_A_TO_V``, over the scale 3)
+are the same maps on the contractor of ``exactla``.
 
-The structure constants of the product on basis_A are computed once, by
-``jordan`` on the 378 unordered pairs of basis units, and kept as ints over
-the one denominator ``_JORDAN_DEN`` (every constant is 1 or +-1/2).  The
-contractor of ``exactla`` reads the product as the Jordan node J, keyed
+The contractor reads the product on basis_A as the Jordan node J, keyed
 (input, input, output), and the unit and the trace as one node, 1 at the
-three diagonal units.  Every other table of the package -- the generator
-tensors on V, the Leibniz rule of the derivations -- is a network of those
-two nodes and these two index maps.  ``functor`` reads the maps as two
-basis-change nodes, iota: V -> A from ``_V_IN_A`` and p: A -> V, the
-projection pi(x) = x - (tr x / 3) 1 read off through ``_A_TO_V`` over the
-scale 3, and builds each table on V as a network of them and J.
+three diagonal units.  J is itself one contraction, built once: each
+basis unit as a 3x3 matrix of octonion units (``_CANON`` places it, as
+``to_matrix`` does), two such matrices multiplied through the octonion
+table, and the product read back off at ``_CANON``.  Every other table of
+the package -- the generator tensors on V, the Leibniz rule of the
+derivations -- is a network of J, the trace, iota and p; no production
+path multiplies element objects, which stay as the tests' second route.
 
 Diagonal entries are always Fractions.  ``AlbertElement(diag, off)``
 coerces and validates its arguments; the linear structure, the product
@@ -46,10 +49,10 @@ which takes a tuple of 3 Fractions and a tuple of 3 Octonions as they are.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .exactla import RatMatrix, Scaled
-from .octonion import Octonion, oct_to_str
+from .exactla import Node, RatMatrix, Scaled, contract_sum
+from .octonion import MULT_TABLE, Octonion, oct_to_str
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -239,6 +242,17 @@ _V_IN_A: Tuple[Tuple[Tuple[int, int], ...], ...] = (
 ) + tuple(((r, 1),) for r in range(3, 27))
 _A_TO_V: Tuple[Tuple[int, int], ...] = ((0, 1), (2, -1)) + tuple((r, 1) for r in range(3, 27))
 
+#: the same change of basis as 1->1 nodes keyed (input, output): iota
+#: embeds basis_V in basis_A; p is pi(x) = x - (tr x / 3) 1 read off in
+#: basis_V, over the scale 3 (tr b_r is 1 for the three diagonal units r < 3)
+_IOTA: Scaled = (1, {(j, r): s for j, col in enumerate(_V_IN_A) for r, s in col})
+_PROJ: Scaled = (3, {
+    (q, i): s * ((3 if q == r else 0) - (1 if q < 3 and r < 3 else 0))
+    for i, (r, s) in enumerate(_A_TO_V)
+    for q in range(27)
+    if q == r or (q < 3 and r < 3)
+})
+
 
 def basis_V() -> List[AlbertElement]:
     return [from_coords_V([ONE if k == j else ZERO for k in range(26)]) for j in range(26)]
@@ -287,46 +301,42 @@ def from_coords_V(coords: Sequence) -> AlbertElement:
 # structure constants
 # ---------------------------------------------------------------------------
 
-#: every structure constant of the product on basis_A is n / _JORDAN_DEN
-_JORDAN_DEN = 2
-_TABLE: Optional[Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]]] = None
-
-
-def _structure_table() -> Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]]:
-    """The Jordan product on basis_A as ints over _JORDAN_DEN, built once.
-
-    T[(p, q)], for every p <= q, lists (r, n) in ascending r with
-    b_p o b_q = sum (n / _JORDAN_DEN) b_r (an empty tuple for a zero
-    product); the product is symmetric, so T[(q, p)] is not stored.
-    """
-    global _TABLE
-    if _TABLE is None:
-        bas = basis_A()
-        table = {}
-        for p in range(27):
-            for q in range(p, 27):
-                coords = coords_A(jordan(bas[p], bas[q]))
-                scaled = [c * _JORDAN_DEN for c in coords]
-                if any(c.denominator != 1 for c in scaled):
-                    raise AssertionError("structure constant is not a multiple of 1/_JORDAN_DEN")
-                table[(p, q)] = tuple((r, c.numerator) for r, c in enumerate(scaled) if c)
-        _TABLE = table
-    return _TABLE
-
+#: _CANON[r] = (row, col, u): unit r of basis_A is octonion unit e_u at
+#: (row, col) of its matrix, the layout of ``to_matrix`` and ``from_matrix``
+_CANON: Tuple[Tuple[int, int, int], ...] = tuple((i, i, 0) for i in range(3)) + tuple(
+    pos + (u,) for pos in ((1, 2), (2, 0), (0, 1)) for u in range(8)
+)
+#: the units as matrices, keyed (r, row, col, u): 1 at _CANON[r], and an
+#: off-diagonal unit's conjugate at the mirrored position
+_UNITS: Scaled = (1, {
+    key: s
+    for r, (i, j, u) in enumerate(_CANON)
+    for key, s in (((r, i, j, u), 1), ((r, j, i, u), 1 if u == 0 else -1))
+})
+#: the octonion product keyed (u, v, w): e_u e_v = s e_w
+_OCTONION: Scaled = (1, {
+    (u, v, w): s for u, row in enumerate(MULT_TABLE) for v, (w, s) in enumerate(row)
+})
+#: reads coordinate r of a self-adjoint matrix off its entry at _CANON[r]
+_READ: Scaled = (1, {c + (r,): 1 for r, c in enumerate(_CANON)})
 
 _JORDAN: Optional[Scaled] = None
 
 
 def _jordan_node() -> Scaled:
-    """The Jordan product as the node (_JORDAN_DEN, {(p, q, r): n}), keyed
-    (input, input, output) with both orders of p and q, built once."""
+    """The Jordan product as the node J, keyed (input, input, output), built
+    once: b_p o b_q = (M_p M_q + M_q M_p) / 2 for the unit matrices M, their
+    entries multiplied through the octonion table, as one contraction."""
     global _JORDAN
     if _JORDAN is None:
-        tensor = {}
-        for (p, q), hits in _structure_table().items():
-            for r, n in hits:
-                tensor[(p, q, r)] = tensor[(q, p, r)] = n
-        _JORDAN = (_JORDAN_DEN, tensor)
+        p, q, r, i, j, k, u, v, w = range(9)
+
+        def product(a: int, b: int) -> List[Node]:
+            return [((a, i, j, u), _UNITS), ((b, j, k, v), _UNITS),
+                    ((u, v, w), _OCTONION), ((i, k, w, r), _READ)]
+
+        half = Fraction(1, 2)
+        _JORDAN = contract_sum([(half, product(p, q)), (half, product(q, p))], (p, q, r))
     return _JORDAN
 
 

@@ -41,12 +41,12 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .albert import (
-    _JORDAN_DEN,
+    _IOTA,
+    _PROJ,
     _UNIT_TRACE,
     AlbertElement,
     _from_coords_A,
     _jordan_node,
-    _structure_table,
     coords_A,
 )
 from .exactla import Node, RatMatrix, Scaled, _scaled, contract_sum, sparse_nullspace
@@ -103,11 +103,8 @@ def _node(vec: Sequence[Fraction]) -> Scaled:
 
 def _conventions_fingerprint() -> str:
     """Hash of the structure constants; changes iff basis conventions do."""
-    prod = _structure_table()
-    lines = []
-    for (i, j) in sorted(prod):
-        for k, n in prod[(i, j)]:
-            lines.append(f"{i} {j} {k} {Fraction(n, _JORDAN_DEN)}")
+    scale, tensor = _jordan_node()
+    lines = [f"{p} {q} {r} {Fraction(tensor[p, q, r], scale)}" for p, q, r in sorted(tensor) if p <= q]
     blob = "jordan-structure-v1\n" + "\n".join(lines)
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
@@ -261,9 +258,10 @@ def derivation_basis() -> List[Derivation]:
 
     Loads the cached basis when its fingerprint matches, otherwise solves
     the Leibniz system.  Either way every matrix is re-certified in exact
-    arithmetic before being returned, so a stale or corrupt cache can only
-    cause recomputation, never a wrong answer; a fresh solve rewrites the
-    cache, so the next load finds it sound again.  A cache location that
+    arithmetic, and the echelon marker columns are looked for, before being
+    returned, so a stale, corrupt or non-echelon cache can only cause
+    recomputation, never a wrong answer; a fresh solve rewrites the cache,
+    so the next load finds it sound again.  A cache location that
     cannot be written costs a warning, not the solved basis.
     """
     global _BASIS, _FREE_COLS
@@ -272,20 +270,19 @@ def derivation_basis() -> List[Derivation]:
 
     path = _cache_path()
     mats = _read_cache(path)
-    flat: Optional[List[List[Fraction]]] = None
+    free: Optional[List[int]] = None
     if mats is not None:
         flat = [[x for row in m.data for x in row] for m in mats]
-        if not _certified(flat):
-            flat = None
-    solved = flat is None
+        # a cache of derivations that is not in echelon form is re-solved too
+        free = _free_columns(flat) if _certified(flat) else None
+    solved = free is None
     if solved:
         flat = _compute_basis_fresh()
         if not _certified(flat):
             raise AssertionError("solved derivation basis failed exact certification")
-
-    free = _free_columns(flat)
-    if free is None:
-        raise AssertionError("derivation basis lost its echelon marker columns")
+        free = _free_columns(flat)
+        if free is None:
+            raise AssertionError("derivation basis lost its echelon marker columns")
 
     if solved:
         mats = [
@@ -357,8 +354,6 @@ def restricted_basis() -> List[Scaled]:
     """
     global _RESTRICTED
     if _RESTRICTED is None:
-        from .functor import _IOTA, _PROJ
-
         _RESTRICTED = [
             contract_sum([(1, [((X, W), _IOTA), ((W, U), d.node), ((U, Z), _PROJ)])], (X, Z))
             for d in derivation_basis()

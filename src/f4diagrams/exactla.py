@@ -12,8 +12,9 @@ dictionary of Python ints keyed by index tuples, stored with one scale, so
 the exact tensor is tensor / scale; a node puts a wire id on each index
 position, and a network of nodes is contracted along every wire two nodes
 share, one pair of nodes at a time, multiplying and adding ints only.  It
-knows nothing of diagrams: ``functor`` builds the networks of diagram terms
-and the generator tables, and ``derivations`` the Leibniz rule.
+knows nothing of diagrams: ``albert`` builds the Jordan node from the
+octonion table, ``functor`` the networks of diagram terms and the generator
+tables, and ``derivations`` the Leibniz rule.
 
 No floating point anywhere; every comparison in this package is exact.
 """
@@ -312,14 +313,13 @@ def _contract_pair(a: Tuple[List[int], IntSparse], b: Tuple[List[int], IntSparse
     return [a_ports[p] for p in a_keep] + [b_ports[p] for p in b_keep], _prune(out)
 
 
-def _contract_network(network: Sequence[Node], strategy: str = "greedy") -> Tuple[int, List[int], IntSparse]:
+def _contract_network(network: Sequence[Node]) -> Tuple[int, List[int], IntSparse]:
     """Contract every wire two nodes share; returns the product of the
     nodes' scales and the ports and tensor of the last node left.
 
     Of the pairs of nodes that share a wire, the next one contracted leaves
     the fewest open ports, then has the smallest product of entry counts,
-    then was created first ("serial": only created first; it exists for
-    order-independence tests).  Nodes are numbered in creation order, and
+    then was created first.  Nodes are numbered in creation order, and
     a wire -> nodes index offers each new node's pairs once, to a heap, so
     a step costs the new node's neighbours, not all pairs.  Disconnected
     components are joined by the outer product of the two smallest nodes.
@@ -333,12 +333,9 @@ def _contract_network(network: Sequence[Node], strategy: str = "greedy") -> Tupl
         b = fresh()
         for a in {a for w in ports for a in holders.get(w, ())}:
             a_ports, a_tensor = nodes[a]
-            if strategy == "greedy":
-                shared = len(set(a_ports).intersection(ports))
-                open_ports = len(a_ports) + len(ports) - 2 * shared
-                heappush(heap, (open_ports, len(a_tensor) * len(tensor), a, b))
-            else:
-                heappush(heap, (a, b))
+            shared = len(set(a_ports).intersection(ports))
+            open_ports = len(a_ports) + len(ports) - 2 * shared
+            heappush(heap, (open_ports, len(a_tensor) * len(tensor), a, b))
         for w in ports:
             holders.setdefault(w, []).append(b)
         nodes[b] = ports, tensor

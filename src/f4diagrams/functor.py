@@ -19,12 +19,11 @@ all DIM values, up to MAX_PHI_ENTRIES entries.  ``phi_tensor`` keeps every
 boundary port (``phi_closed`` is the case with none); ``scan_basis``
 counts each input's nonzero outputs in that same tensor;
 ``apply_combo_to_basis`` and ``apply_term_sparse`` add one more node, the
-input state, on the input wires and keep only the outputs.  A
-creation-order strategy exists solely so tests can confirm the result is
-order-independent.  The generator tables are networks too, of the Jordan
-and trace nodes of ``albert`` and two basis-change nodes, iota (V -> A)
-and p (A -> V, the projection pi read off in basis_V); ``derivations``
-restricts each derivation to V as iota ; D ; p.
+input state, on the input wires and keep only the outputs.  The
+generator tables are networks too, of four nodes of ``albert``: the
+Jordan node, the trace, and the basis changes iota (V -> A) and p
+(A -> V, the projection pi read off in basis_V), which ``derivations``
+also uses to restrict each derivation to V as iota ; D ; p.
 
 Each generator's node tensor is stored as ints over the least common
 denominator of its entries, and a term's scale is the product of its
@@ -41,7 +40,7 @@ from itertools import product
 from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .albert import _A_TO_V, _UNIT_TRACE, _V_IN_A, _jordan_node
+from .albert import _IOTA, _PROJ, _UNIT_TRACE, _jordan_node
 from .diagram import (
     CAP,
     CROSS,
@@ -89,17 +88,6 @@ MAX_PHI_ENTRIES = DIM**4
 # generator tensors
 # ---------------------------------------------------------------------------
 
-
-#: the change of basis between V and A as 1->1 nodes keyed (input, output):
-#: iota embeds basis_V in basis_A; p is pi(x) = x - (tr x / 3) 1 read off in
-#: basis_V, over the scale 3 (tr b_r is 1 for the three diagonal units r < 3)
-_IOTA: Scaled = (1, {(j, r): s for j, col in enumerate(_V_IN_A) for r, s in col})
-_PROJ: Scaled = (3, {
-    (q, i): s * ((3 if q == r else 0) - (1 if q < 3 and r < 3 else 0))
-    for i, (r, s) in enumerate(_A_TO_V)
-    for q in range(27)
-    if q == r or (q < 3 and r < 3)
-})
 
 _NODES: Optional[Dict[Gen, Scaled]] = None
 
@@ -175,12 +163,12 @@ def _network_of(term: DiagramTerm) -> Tuple[List[Node], List[int], List[int]]:
     return network, inputs, wires
 
 
-def _contract(network: Sequence[Node], boundary: Sequence[int], strategy: str = "greedy") -> Scaled:
+def _contract(network: Sequence[Node], boundary: Sequence[int]) -> Scaled:
     """A network's tensor keyed by its boundary wires, with its scale, the
     product of its nodes' scales.  A boundary wire that no node touches (a
     through strand) ranges over all DIM values; a result that would exceed
     MAX_PHI_ENTRIES entries raises ValueError instead."""
-    scale, ports, tensor = _contract_network(network, strategy)
+    scale, ports, tensor = _contract_network(network)
     through = sorted(set(boundary) - set(ports))
     entries = len(tensor) * DIM ** len(through)
     if entries > MAX_PHI_ENTRIES:
@@ -193,11 +181,10 @@ def _contract(network: Sequence[Node], boundary: Sequence[int], strategy: str = 
     pick = _project([
         ports.index(w) if w in ports else len(ports) + through.index(w) for w in boundary
     ])
-    out: IntSparse = {}
-    for key, c in tensor.items():
-        for vals in product(range(DIM), repeat=len(through)):
-            out[pick(key + vals)] = c
-    return scale, out
+    if not through or not tensor:
+        return scale, {pick(key): c for key, c in tensor.items()}
+    values = list(product(range(DIM), repeat=len(through)))
+    return scale, {pick(key + vals): c for key, c in tensor.items() for vals in values}
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +196,7 @@ _TERM_TENSORS: Dict[DiagramTerm, Scaled] = {}
 
 
 def set_cache_enabled(flag: bool) -> None:
-    """Turn the memo of whole-term tensors (greedy order, keyed by term) on
+    """Turn the memo of whole-term tensors (keyed by term) on
     or off; off also empties it.  Results are identical either way."""
     global _CACHE_ENABLED
     _CACHE_ENABLED = bool(flag)
@@ -217,14 +204,14 @@ def set_cache_enabled(flag: bool) -> None:
         _TERM_TENSORS.clear()
 
 
-def _term_tensor(term: DiagramTerm, strategy: str = "greedy") -> Scaled:
+def _term_tensor(term: DiagramTerm) -> Scaled:
     """The term's whole tensor, keyed by (inputs..., outputs...), with its
-    scale; greedy contractions are memoized."""
-    hit = _TERM_TENSORS.get(term) if strategy == "greedy" else None
+    scale, memoized."""
+    hit = _TERM_TENSORS.get(term)
     if hit is None:
         network, inputs, outputs = _network_of(term)
-        hit = _contract(network, inputs + outputs, strategy)
-        if strategy == "greedy" and _CACHE_ENABLED:
+        hit = _contract(network, inputs + outputs)
+        if _CACHE_ENABLED:
             _TERM_TENSORS[term] = hit
     return hit
 
@@ -288,11 +275,6 @@ def scan_basis(f) -> Tuple[int, int]:
     return DIM**f.src, max(per_input.values(), default=0)
 
 
-def _phi(f, strategy: str) -> Sparse:
-    f = _check_concrete(as_combo(f))
-    return _fractions(_combo_sum((coeff, _term_tensor(term, strategy)) for term, coeff in f.terms))
-
-
 def phi_tensor(f) -> Sparse:
     """The whole map of a concrete combo as one sparse tensor.
 
@@ -302,15 +284,16 @@ def phi_tensor(f) -> Sparse:
     ValueError when expanding through strands would give more than
     MAX_PHI_ENTRIES entries.
     """
-    return _phi(f, "greedy")
+    f = _check_concrete(as_combo(f))
+    return _fractions(_combo_sum((coeff, _term_tensor(term)) for term, coeff in f.terms))
 
 
-def phi_closed(f, strategy: str = "greedy") -> Fraction:
+def phi_closed(f) -> Fraction:
     """Exact scalar value of a closed (0 -> 0) combo."""
     f = _check_concrete(as_combo(f))
     if f.src != 0 or f.tgt != 0:
         raise DiagramArityError(f"phi_closed needs a closed diagram, got {f.src}->{f.tgt}")
-    return _phi(f, strategy).get((), ZERO)
+    return phi_tensor(f).get((), ZERO)
 
 
 # ---------------------------------------------------------------------------

@@ -151,10 +151,6 @@ class Octonion:
         return f"Octonion({oct_to_str(self)})"
 
 
-def oct_mul(x: Octonion, y: Octonion) -> Octonion:
-    return x * y
-
-
 def real_part(x: Octonion) -> Fraction:
     return x.real_part()
 

@@ -5,6 +5,7 @@ import pytest
 
 from f4diagrams.albert import (
     AlbertElement,
+    _jordan_node,
     alb_trace,
     basis_A,
     basis_V,
@@ -205,3 +206,15 @@ def test_fixed_bases():
     total = sum((bform(b, d) for b, d in zip(bv, dual)), Fraction(0))
     assert total == 26
 
+
+def test_jordan_node_is_the_object_product():
+    # two independent routes to the structure constants: the node J,
+    # contracted from the octonion table, and jordan on element objects,
+    # on all 378 unordered pairs of basis units, in both orders
+    scale, tensor = _jordan_node()
+    bas = basis_A()
+    for p in range(27):
+        for q in range(p, 27):
+            want = coords_A(jordan(bas[p], bas[q]))
+            for a, b in ((p, q), (q, p)):
+                assert [Fraction(tensor.get((a, b, r), 0), scale) for r in range(27)] == want

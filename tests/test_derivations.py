@@ -11,6 +11,7 @@ import pytest
 
 import f4diagrams.derivations as dv
 from f4diagrams.albert import AlbertElement, alb_trace, basis_V, coords_A, coords_V, jordan
+from f4diagrams.exactla import RatMatrix
 from f4diagrams.octonion import Octonion
 
 # sha256 of a solved basis, entry by entry, as bench/worker.py's basis_digest
@@ -34,6 +35,24 @@ def _reset_memo():
 
 def _flat(mats):
     return [[m.data[r][c] for r in range(27) for c in range(27)] for m in mats]
+
+
+def _digest(basis):
+    h = hashlib.sha256()
+    for d in basis:
+        for row in d.matrix.data:
+            h.update(" ".join(str(Fraction(x)) for x in row).encode("ascii"))
+            h.update(b"\n")
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _env(cache_dir):
+    """The environment of a child process on this source tree and cache."""
+    env = dict(os.environ, F4DIAGRAMS_CACHE_DIR=str(cache_dir))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 def test_basis_size_and_shape():
@@ -211,19 +230,57 @@ def test_cold_solve_digest(tmp_path, monkeypatch):
     finally:
         _reset_memo()
     assert os.path.exists(tmp_path / "derivation_basis.txt")
-    h = hashlib.sha256()
-    for d in basis:
-        for row in d.matrix.data:
-            h.update(" ".join(str(Fraction(x)) for x in row).encode("ascii"))
-            h.update(b"\n")
-        h.update(b"\n")
-    assert h.hexdigest() == BASIS_DIGEST
+    assert _digest(basis) == BASIS_DIGEST
+
+
+def test_non_echelon_cache_is_repaired(tmp_path, monkeypatch):
+    # 52 valid derivations that are not in echelon form (matrix 1 replaced
+    # by matrix 0 + matrix 1) pass the certificate but have no marker
+    # columns: the load re-solves and rewrites the file, as for a failed one
+    mats = [d.matrix for d in dv.derivation_basis()]
+    monkeypatch.setenv(dv.CACHE_ENV, str(tmp_path))
+    path = dv._cache_path()
+    mixed = RatMatrix.from_rows([[a + b for a, b in zip(*rows)] for rows in zip(mats[0].data, mats[1].data)])
+    dv._write_cache(path, [mats[0], mixed] + mats[2:])
+    flat = _flat(dv._read_cache(path))
+    assert dv._certified(flat) and dv._free_columns(flat) is None
+    _reset_memo()
+    try:
+        assert _digest(dv.derivation_basis()) == BASIS_DIGEST
+        # the rewritten file loads warm, with no second solve
+        _reset_memo()
+        monkeypatch.setattr(dv, "_compute_basis_fresh", None)
+        assert _digest(dv.derivation_basis()) == BASIS_DIGEST
+    finally:
+        _reset_memo()
+
+
+def test_production_paths_multiply_no_element_objects(tmp_path):
+    # The generator tables, a warm basis load and the equivariance check run
+    # on the Jordan node alone: with jordan and the element constructor
+    # refusing, they still succeed.
+    dv._write_cache(str(tmp_path / "derivation_basis.txt"), [d.matrix for d in dv.derivation_basis()])
+    code = (
+        "import f4diagrams.albert as al\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('the object algebra was used')\n"
+        "al.jordan = refuse\n"
+        "al.AlbertElement.__init__ = refuse\n"
+        "from f4diagrams import derivations as dv\n"
+        "from f4diagrams.functor import generator_tensors\n"
+        "generator_tensors()\n"
+        "dv._compute_basis_fresh = None\n"
+        "assert len(dv.derivation_basis()) == 52\n"
+        "assert dv.check_equivariance()['holds']\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_env(tmp_path), capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
 
 
 def test_cold_solve_imports_no_numpy(tmp_path):
-    env = dict(os.environ, F4DIAGRAMS_CACHE_DIR=str(tmp_path))
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env = _env(tmp_path)
     code = (
         "import sys\n"
         "from f4diagrams.derivations import derivation_basis\n"

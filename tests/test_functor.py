@@ -168,14 +168,23 @@ def test_closed_traces():
     assert apply_combo_to_basis(tadpole, ()) == {}
 
 
+def _matrix_trace(f) -> Fraction:
+    """The sum of the entries of phi_tensor(f) whose inputs equal their outputs."""
+    return sum((c for k, c in phi_tensor(f).items() if k[: f.src] == k[f.src :]), Fraction(0))
+
+
 def test_contraction_strategy_is_irrelevant():
+    # cup inverts cap, so closing f is its matrix trace: a different network
+    # from phi_tensor(f)'s, contracted in a different order, gives it too
     diagrams = [
-        closure(build_named("square")),
-        closure(parse_diagram("merge ; split")),
-        closure(parse_diagram("(split @ id(1)) ; (id(1) @ merge)")),
+        (build_named("square"), Fraction(1274, 9)),
+        (parse_diagram("merge ; split"), Fraction(182, 3)),
+        (parse_diagram("(split @ id(1)) ; (id(1) @ merge)"), 0),
+        (build_named("e1").specialize(Fraction(7, 3), 26), 52),
     ]
-    for d in diagrams:
-        assert phi_closed(d, strategy="greedy") == phi_closed(d, strategy="serial")
+    for f, value in diagrams:
+        f = as_combo(f)
+        assert phi_closed(closure(f)) == _matrix_trace(f) == value
 
 
 def test_phi_apply_matches_basis_table():
@@ -335,8 +344,7 @@ def _combos(draw):
 def test_network_contraction_properties(f):
     _agrees_with_reference(f)
     square = f if f.src == f.tgt else f.then(mirror(f))
-    closed = closure(square)
-    assert phi_closed(closed, strategy="greedy") == phi_closed(closed, strategy="serial")
+    assert phi_closed(closure(square)) == _matrix_trace(square)
 
 
 def test_phi_tensor_refuses_huge_through_expansions():
@@ -350,6 +358,16 @@ def test_phi_tensor_refuses_huge_through_expansions():
         with pytest.raises(ValueError, match=str(26**5)):
             evaluate(as_combo(Id(5)))
         assert time.perf_counter() - t0 < 1
+
+
+def test_empty_tensor_expands_no_through_strands():
+    # five through strands beside a zero map: no entries, so nothing to
+    # expand over the 26**5 values of the through wires
+    f = parse_diagram("id(5) @ (cup ; merge)")
+    t0 = time.perf_counter()
+    assert phi_tensor(f) == {}
+    assert scan_basis(f) == (26**5, 0)
+    assert time.perf_counter() - t0 < 1
 
 
 # ---------------------------------------------------------------------------
