@@ -17,11 +17,21 @@ exactly when they contract to zero.  It has three uses:
     must carry a reduced-echelon sparsity pattern (each is 1 at its own
     free column and 0 at the others), so their independence is
     immediate.  Both checks run again on every cache load;
-  * equivariance: check_equivariance() contracts ``_leibniz(D, merge)``
-    for each derivation restricted to V -- the network iota ; D ; p of
-    restricted_basis(), where iota embeds V in A and p projects A onto V
-    -- and, on the same contractor, checks that the pairing is skew under
-    (D x 1 + 1 x D) and that the copairing is annihilated by it.
+  * equivariance: ``_equivariance_identities`` writes, for a 1->1 node D
+    on V, the identities saying that merge (``_leibniz(D, merge)``),
+    split, cap and cup commute with D acting on tensor powers as a
+    derivation.  check_equivariance() contracts them for each derivation
+    restricted to V -- the network iota ; D ; p of restricted_basis(),
+    where iota embeds V in A and p projects A onto V.
+
+The cyclic-vector certificate, cyclic_certificate(), contracts the same
+identities for a smaller set S that needs no solve and no cache: the 16
+nonzero inner derivations [L_E11, L_b] of A, each contracted straight from
+the Jordan node and restricted to V.  It holds when all four tables
+commute with every D in S and the basis vector b0 = E11 - E22 spans V
+under words in S, by exact echelon reduction.  Then the kernel of any
+1->n diagram map is closed under S, so a map that kills b0 is zero: this
+is what lets ``functor.is_zero`` decide a map on one input.
 
 bracket() and in_span() are contractions of the basis nodes too.  The
 basis is cached as plain text (one 27x27 block of rationals per
@@ -49,9 +59,10 @@ from .albert import (
     _jordan_node,
     coords_A,
 )
-from .exactla import Node, RatMatrix, Scaled, _scaled, contract_sum, sparse_nullspace
+from .exactla import Node, RatMatrix, Scaled, _scaled, contract_sum, echelon_insert, sparse_nullspace
 
 N_A = 27
+N_V = N_A - 1
 N_UNKNOWNS = N_A * N_A
 DIM_DER = 52
 RANK_TARGET = N_UNKNOWNS - DIM_DER
@@ -80,8 +91,9 @@ class Derivation:
 # ---------------------------------------------------------------------------
 
 #: wires: the inputs x, y and the output z of a product, w an inner wire, u a
-#: spare (the column of an unknown, or a second inner wire)
-X, Y, Z, W, U = range(5)
+#: spare (the column of an unknown, or a second inner wire); p and q fix the
+#: first port of a Jordan node, t is a third inner wire
+X, Y, Z, W, U, P, Q, T = range(8)
 
 
 def _leibniz(d: Scaled, product: Scaled, *tail: int) -> List[Tuple[int, List[Node]]]:
@@ -361,46 +373,131 @@ def restricted_basis() -> List[Scaled]:
     return list(_RESTRICTED)
 
 
-def check_equivariance() -> Dict[str, object]:
-    """Exact infinitesimal invariance of the product, pairing and copairing.
-
-    Each of the 52 restricted derivations D is an integer 1->1 node, keyed
-    (input, output), and each identity is a sum of networks over it and
-    the generator nodes, contracted and summed by ``contract_sum``; it
-    holds when the sum is empty, on every basis input:
+def _equivariance_identities(d: Scaled, nodes) -> Dict[str, Tuple[Tuple[int, ...], List[Tuple[int, List[Node]]]]]:
+    """name -> (boundary, networks) of the identity saying that the table
+    ``nodes[generator]`` commutes with the 1->1 node d on V, keyed (input,
+    output), acting on tensor powers as a derivation; it holds when the
+    networks contract to zero:
       * merge: the Leibniz rule ``_leibniz(D, merge)``;
+      * split: (D x 1 + 1 x D) . split - split . D = 0;
       * cap:   cap . (D x 1 + 1 x D) = 0;
       * cup:   (D x 1 + 1 x D) . cup = 0.
     """
-    from .diagram import CAP, CUP, MERGE
+    from .diagram import CAP, CUP, MERGE, SPLIT
+
+    split, cap, cup = nodes[SPLIT], nodes[CAP], nodes[CUP]
+    return {
+        "merge": ((X, Y, Z), _leibniz(d, nodes[MERGE])),
+        "split": ((X, Y, Z), [
+            (1, [((X, W, Z), split), ((W, Y), d)]),
+            (1, [((X, Y, W), split), ((W, Z), d)]),
+            (-1, [((X, W), d), ((W, Y, Z), split)]),
+        ]),
+        "cap": ((X, Y), [
+            (1, [((X, W), d), ((W, Y), cap)]),
+            (1, [((Y, W), d), ((X, W), cap)]),
+        ]),
+        "cup": ((X, Y), [
+            (1, [((W, Y), cup), ((W, X), d)]),
+            (1, [((X, W), cup), ((W, Y), d)]),
+        ]),
+    }
+
+
+def _equivariant(ops: Sequence[Scaled], nodes) -> Dict[str, bool]:
+    """Whether every generator table commutes with every node in ops."""
+    ok = {"merge": True, "split": True, "cap": True, "cup": True}
+    for d in ops:
+        for name, (boundary, parts) in _equivariance_identities(d, nodes).items():
+            ok[name] = ok[name] and not contract_sum(parts, boundary)[1]
+    return ok
+
+
+def check_equivariance() -> Dict[str, object]:
+    """Exact infinitesimal invariance of the four generator tables under
+    the 52 restricted derivations, by ``_equivariance_identities``."""
     from .functor import generator_tensors
 
-    nodes = generator_tensors()
-    merge, cap, cup = nodes[MERGE], nodes[CAP], nodes[CUP]
     restricted = restricted_basis()
-    ok = {"merge": True, "cap": True, "cup": True}
-    for d in restricted:
-        identities = {
-            "merge": ((X, Y, Z), _leibniz(d, merge)),
-            "cap": ((X, Y), [
-                (1, [((X, W), d), ((W, Y), cap)]),
-                (1, [((Y, W), d), ((X, W), cap)]),
-            ]),
-            "cup": ((X, Y), [
-                (1, [((W, Y), cup), ((W, X), d)]),
-                (1, [((X, W), cup), ((W, Y), d)]),
-            ]),
-        }
-        for name, (boundary, parts) in identities.items():
-            ok[name] = ok[name] and not contract_sum(parts, boundary)[1]
-
+    ok = _equivariant(restricted, generator_tensors())
     return {
         "holds": all(ok.values()),
         "derivations": len(restricted),
-        "merge_ok": ok["merge"],
-        "cap_ok": ok["cap"],
-        "cup_ok": ok["cup"],
+        **{f"{name}_ok": holds for name, holds in ok.items()},
         "pairs_checked": 676,
+    }
+
+
+# ---------------------------------------------------------------------------
+# the cyclic-vector certificate
+# ---------------------------------------------------------------------------
+
+_IDENTITY_V: Scaled = (1, {(i, i): 1 for i in range(N_V)})
+
+
+def inner_derivations() -> List[Scaled]:
+    """The nonzero inner derivations D_b = [L_E11, L_b] of A, b a basis
+    unit, restricted to V: integer 1->1 nodes keyed (input, output).
+
+    L_a is the Jordan node J with its first port fixed to a, so the
+    restriction iota ; (L_b ; L_E11 - L_E11 ; L_b) ; p is one contraction.
+    Sixteen are nonzero: those of the x2-slot and x3-slot units.
+    """
+    jordan = _jordan_node()
+    e11 = ((P,), (1, {(0,): 1}))
+
+    def chain(first: int, second: int) -> List[Node]:
+        """iota ; L_first ; L_second ; p, with the first ports on wires first and second."""
+        return [((X, W), _IOTA), ((first, W, U), jordan), ((second, U, T), jordan), ((T, Z), _PROJ)]
+
+    ops = []
+    for r in range(N_A):
+        ends = [e11, ((Q,), (1, {(r,): 1}))]
+        d = contract_sum([(1, chain(Q, P) + ends), (-1, chain(P, Q) + ends)], (X, Z))
+        if d[1]:
+            ops.append(d)
+    return ops
+
+
+def _cyclic_span(ops: Sequence[Scaled]) -> int:
+    """Dimension of the span of b0 and its images under all words in ops,
+    by exact echelon reduction of sparse vectors."""
+    pivots: Dict[int, Dict[int, Fraction]] = {}
+    todo = [(1, {(0,): 1})]
+    while todo and len(pivots) < N_V:
+        den, vec = todo.pop()
+        if echelon_insert(pivots, {i: Fraction(n, den) for (i,), n in vec.items()}):
+            todo.extend(contract_sum([(1, [((X,), (den, vec)), ((X, Z), d)])], (Z,)) for d in ops)
+    return len(pivots)
+
+
+def cyclic_certificate(nodes) -> Dict[str, object]:
+    """The premises under which one input decides whether a diagram map
+    is zero, checked exactly for the node tables ``nodes``.
+
+    S is ``inner_derivations()``.  The certificate holds when every table
+    commutes with every D in S (``_equivariance_identities``), so every
+    diagram map does; when basis vector 0 of V, b0 = E11 - E22, spans V
+    under words in S, so the kernel of a 1->n diagram map, closed under
+    S, is all of V as soon as it holds b0; and when caps undo cups,
+    (1 x cap) . (cup x 1) = 1, so bending inputs up into outputs loses
+    nothing.  It relies on no textbook fact about A -- S is only a set of
+    operators on V -- so it speaks for whatever tables are in use, and a
+    table that breaks one of these identities makes it fail.
+    """
+    from .diagram import CAP, CUP
+
+    ops = inner_derivations()
+    ok = _equivariant(ops, nodes)
+    span = _cyclic_span(ops)
+    zigzag = [(1, [((Z, W), nodes[CUP]), ((W, X), nodes[CAP])]), (-1, [((X, Z), _IDENTITY_V)])]
+    zigzag_ok = not contract_sum(zigzag, (X, Z))[1]
+    return {
+        "holds": all(ok.values()) and span == N_V and zigzag_ok,
+        "operators": len(ops),
+        **{f"{name}_ok": holds for name, holds in ok.items()},
+        "span": span,
+        "zigzag_ok": zigzag_ok,
     }
 
 

@@ -211,29 +211,36 @@ def _sub_scaled(row: Dict[int, Fraction], f: Fraction, prow: Mapping[int, Fracti
             del row[c]
 
 
+def echelon_insert(pivots: Dict[int, Dict[int, Fraction]], src: Mapping[int, Fraction]) -> bool:
+    """Reduce a sparse row {column: value} by the pivot rows, leading column
+    first; what is left, if anything, becomes a new pivot row, scaled to a
+    leading 1.  Returns whether the row was independent of the pivots."""
+    row = {c: Fraction(v) for c, v in src.items() if v}
+    while row:
+        lead = min(row)
+        prow = pivots.get(lead)
+        if prow is None:
+            inv = 1 / row[lead]
+            pivots[lead] = {c: v * inv for c, v in row.items()}
+            return True
+        _sub_scaled(row, row[lead], prow)
+    return False
+
+
 def sparse_nullspace(
     rows: Iterable[Mapping[int, Fraction]], ncols: int
 ) -> Tuple[int, List[List[Fraction]]]:
     """Rank and right nullspace of a sparse system, exactly.
 
-    Each row is a mapping column -> value (zero values allowed).  Every
-    row is reduced by the pivot rows found so far, leading column first;
-    what is left either vanishes or becomes a new pivot row, scaled to a
-    leading 1.  Back-substitution then brings the pivot rows to reduced
-    echelon form, so the vectors (one per free column, in column order)
-    are the ones :meth:`RatMatrix.nullspace` returns for the same system.
+    Each row is a mapping column -> value (zero values allowed), reduced
+    by ``echelon_insert``.  Back-substitution then brings the pivot rows
+    to reduced echelon form, so the vectors (one per free column, in
+    column order) are the ones :meth:`RatMatrix.nullspace` returns for the
+    same system.
     """
     pivots: Dict[int, Dict[int, Fraction]] = {}
     for src in rows:
-        row = {c: Fraction(v) for c, v in src.items() if v}
-        while row:
-            lead = min(row)
-            prow = pivots.get(lead)
-            if prow is None:
-                inv = 1 / row[lead]
-                pivots[lead] = {c: v * inv for c, v in row.items()}
-                break
-            _sub_scaled(row, row[lead], prow)
+        echelon_insert(pivots, src)
     # Later pivot rows hold no other pivot column, so clearing them from a
     # row in any order brings in free columns only.
     for lead in sorted(pivots, reverse=True):

@@ -19,7 +19,15 @@ all DIM values, up to MAX_PHI_ENTRIES entries.  ``phi_tensor`` keeps every
 boundary port (``phi_closed`` is the case with none); ``scan_basis``
 counts each input's nonzero outputs in that same tensor;
 ``apply_combo_to_basis`` and ``apply_term_sparse`` add one more node, the
-input state, on the input wires and keep only the outputs.  The
+input state, on the input wires and keep only the outputs.
+
+``is_zero`` is the one test of whether a map is zero.  It bends an
+m->n map to V -> V^(m+n-1) with nested cups and applies the bend to the
+one basis vector b0; an empty image proves the map zero once the
+per-process certificate of ``derivations.cyclic_certificate`` holds
+(every generator table commutes with a set of derivations under which b0
+spans V), and when the certificate fails it falls back to
+``scan_basis``.  The
 generator tables are networks too, of four nodes of ``albert``: the
 Jordan node, the trace, and the basis changes iota (V -> A) and p
 (A -> V, the projection pi read off in basis_V), which ``derivations``
@@ -193,15 +201,18 @@ def _contract(network: Sequence[Node], boundary: Sequence[int]) -> Scaled:
 
 _CACHE_ENABLED = True
 _TERM_TENSORS: Dict[DiagramTerm, Scaled] = {}
+_CERTIFICATE: Optional[Dict[str, object]] = None
 
 
 def set_cache_enabled(flag: bool) -> None:
     """Turn the memo of whole-term tensors (keyed by term) on
-    or off; off also empties it.  Results are identical either way."""
-    global _CACHE_ENABLED
+    or off; off also empties it and forgets the cyclic-vector
+    certificate of ``is_zero``.  Results are identical either way."""
+    global _CACHE_ENABLED, _CERTIFICATE
     _CACHE_ENABLED = bool(flag)
     if not flag:
         _TERM_TENSORS.clear()
+        _CERTIFICATE = None
 
 
 def _term_tensor(term: DiagramTerm) -> Scaled:
@@ -356,3 +367,54 @@ def gram_rank(fs: Sequence) -> int:
             m.data[i][j] = v
             m.data[j][i] = v
     return m.rank()
+
+
+# ---------------------------------------------------------------------------
+# the zero test
+# ---------------------------------------------------------------------------
+
+
+def _certificate() -> Dict[str, object]:
+    """``derivations.cyclic_certificate`` of the generator tables, built on
+    first use and kept for the process (``set_cache_enabled(False)``
+    forgets it)."""
+    global _CERTIFICATE
+    if _CERTIFICATE is None:
+        from .derivations import cyclic_certificate
+
+        _CERTIFICATE = cyclic_certificate(generator_tensors())
+    return _CERTIFICATE
+
+
+def _bend(f) -> DiagramCombo:
+    """An m->n combo with m >= 1 as the 1->(n+m-1) combo
+    (f x 1) . (1 x m-1 nested cups): its inputs after the first are bent
+    up into outputs.  Caps undo the bend, since cup inverts the Gram
+    matrix cap (``generator_tensors`` and the certificate check it), so f
+    is zero exactly when its bend is."""
+    f = as_combo(f)
+    if f.src <= 1:
+        return f
+    extra = f.src - 1
+    return (f @ as_combo(Id(extra))).compose(as_combo(tensor_all(Id(1), _cup_nest(extra))))
+
+
+def is_zero(f) -> bool:
+    """Decide exactly whether a concrete combo is the zero map.
+
+    A 0->n map is contracted whole (``scan_basis``).  Any other map is
+    bent to g: V -> V^(x)N and applied to the one basis vector b0: a
+    nonzero image proves f nonzero.  An empty one proves f zero once
+    ``_certificate()`` holds: every diagram map then commutes with the
+    operators S of the certificate, so the kernel of g is closed under S
+    and, holding b0, is all of V.  If the certificate fails, the verdict
+    comes from ``scan_basis`` instead.
+    """
+    f = _check_concrete(as_combo(f))
+    if f.src == 0:
+        return scan_basis(f)[1] == 0
+    if apply_combo_to_basis(_bend(f), (0,)):
+        return False
+    if _certificate()["holds"]:
+        return True
+    return scan_basis(f)[1] == 0

@@ -210,7 +210,7 @@ def test_criterion_12_derivation_algebra():
         assert len(basis) == 52
         equiv = dv.check_equivariance()
         assert equiv["holds"], equiv
-        assert equiv["merge_ok"] and equiv["cap_ok"] and equiv["cup_ok"]
+        assert equiv["merge_ok"] and equiv["split_ok"] and equiv["cap_ok"] and equiv["cup_ok"]
         assert equiv["derivations"] == 52
 
 

@@ -1,6 +1,9 @@
 """End-to-end CLI behavior through main(argv): output bytes and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -207,3 +210,54 @@ def test_output_is_byte_stable(capsys):
     a = run(capsys, "verify", "chess")
     b = run(capsys, "verify", "chess")
     assert a == b
+
+
+def _verify_all_stdout():
+    """What ``f4cat verify all`` prints: one line per catalogue entry, in
+    catalogue order, then the three suites."""
+    from f4diagrams.relations import catalog
+
+    lines = []
+    for name, spec in catalog().items():
+        if not spec.checkable:
+            lines.append(f"{name}: SKIP (free scalar; recorded for reference only)")
+        elif spec.expected_holds:
+            lines.append(f"{name}: OK ({26 ** spec.lhs.src} inputs)")
+        else:
+            lines.append(f"{name}: OK ({26 ** spec.lhs.src} inputs, deviates as expected)")
+    lines += [
+        "idempotents: OK (676 inputs)",
+        "dims 1 52 273 26 324",
+        "sponge: OK (25 pairs)",
+        "sack: OK (676 inputs)",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def test_verify_all_never_touches_the_derivation_cache(tmp_path):
+    # The cache location is a regular file, so no cache can be read or
+    # written under it: verify needs none, and says nothing about it.
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, F4DIAGRAMS_CACHE_DIR=str(blocker), PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-m", "f4diagrams.cli", "verify", "all"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (0, _verify_all_stdout(), "")
+    assert blocker.read_text() == ""
+
+
+def test_verify_and_dims_need_no_derivation_basis(capsys, monkeypatch):
+    import f4diagrams.derivations as dv
+    from f4diagrams.functor import set_cache_enabled
+
+    def refuse():
+        raise AssertionError("the derivation basis was loaded")
+
+    monkeypatch.setattr(dv, "derivation_basis", refuse)
+    set_cache_enabled(False)  # the certificate is built again, under the patch
+    set_cache_enabled(True)
+    assert run(capsys, "verify", "sack") == (0, "sack: OK (676 inputs)\n", "")
+    assert run(capsys, "dims") == (0, "e0 1\ne1 52\ne3 273\ne4 26\netilde 324\n", "")

@@ -109,13 +109,61 @@ def test_conventions_fingerprint_is_pinned():
 
 def test_equivariance_fails_for_a_non_derivation(monkeypatch):
     # The identity on V is not a derivation: D . merge - merge . (D x 1) -
-    # merge . (1 x D) is -merge, and the cap and cup sums are twice cap and cup.
+    # merge . (1 x D) is -merge, (D x 1 + 1 x D) . split - split . D is
+    # split, and the cap and cup sums are twice cap and cup.
     identity = (1, {(i, i): 1 for i in range(26)})
     mutated = [identity] + dv.restricted_basis()[1:]
     monkeypatch.setattr(dv, "_RESTRICTED", mutated)
     report = dv.check_equivariance()
     assert report["derivations"] == 52
-    assert not any(report[k] for k in ("merge_ok", "cap_ok", "cup_ok", "holds"))
+    assert not any(report[k] for k in ("merge_ok", "split_ok", "cap_ok", "cup_ok", "holds"))
+
+
+def test_cyclic_certificate_holds():
+    # b0 = E11 - E22 spans V under the 16 nonzero inner derivations
+    # [L_E11, L_b], all four generator tables commute with each, and caps
+    # undo cups
+    from f4diagrams.functor import generator_tensors
+
+    assert len(dv.inner_derivations()) == 16
+    assert dv.cyclic_certificate(generator_tensors()) == {
+        "holds": True,
+        "operators": 16,
+        "merge_ok": True,
+        "split_ok": True,
+        "cap_ok": True,
+        "cup_ok": True,
+        "span": 26,
+        "zigzag_ok": True,
+    }
+
+
+def test_certificate_needs_caps_to_undo_cups():
+    # a doubled cup still commutes with every derivation, but caps no
+    # longer undo it
+    from f4diagrams.diagram import CUP
+    from f4diagrams.functor import generator_tensors
+
+    nodes = dict(generator_tensors())
+    scale, cup = nodes[CUP]
+    nodes[CUP] = (scale, {k: 2 * n for k, n in cup.items()})
+    cert = dv.cyclic_certificate(nodes)
+    assert cert["cup_ok"] and cert["span"] == 26
+    assert not cert["zigzag_ok"] and not cert["holds"]
+
+
+def test_inner_derivations_are_derivations():
+    # A second route, by the textbook fact: each inner derivation, as a map
+    # of V, is a combination of the 52 restricted basis derivations.
+    from f4diagrams.exactla import echelon_insert
+
+    def row(scaled):
+        scale, node = scaled
+        return {26 * i + j: Fraction(n, scale) for (i, j), n in node.items()}
+
+    pivots = {}
+    assert all(echelon_insert(pivots, row(d)) for d in dv.restricted_basis())
+    assert not any(echelon_insert(pivots, row(d)) for d in dv.inner_derivations())
 
 
 def test_restricted_basis_shape():

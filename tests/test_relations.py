@@ -11,8 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from f4diagrams.diagram import CUP, MERGE, DiagramArityError, as_combo
-from f4diagrams.functor import trace_pairing
+from f4diagrams import functor
+from f4diagrams.diagram import CAP, CUP, MERGE, SPLIT, DiagramArityError, as_combo, build_named
+from f4diagrams.functor import generator_tensors, is_zero, scan_basis, set_cache_enabled, trace_pairing
 from f4diagrams.relations import (
     ALPHA,
     DELTA,
@@ -91,7 +92,8 @@ def test_croatia_is_not_checkable():
 
 def test_whole_catalog_holds_as_expected():
     # Every checkable entry, the bent pivotal_* and rotary_* ones included,
-    # on every basis input of its source strands.
+    # on every basis input of its source strands: run_relations decides each
+    # on one input, and the scan of every basis input is a second route.
     cat = catalog()
     start = time.monotonic()
     reports = run_relations()
@@ -103,6 +105,42 @@ def test_whole_catalog_holds_as_expected():
         assert rep["holds"] == rep["expected_holds"], rep
         assert rep["basis_checked"] == 26 ** cat[rep["name"]].lhs.src, rep
     assert elapsed < 120, f"took {elapsed:.2f}s, budget 120s"
+
+    start = time.monotonic()
+    for rep in checked:
+        spec = cat[rep["name"]]
+        d = spec.lhs.specialize(ALPHA, DELTA) - spec.rhs.specialize(ALPHA, DELTA)
+        assert is_zero(d) == (scan_basis(d)[1] == 0) == spec.expected_holds, rep["name"]
+    elapsed = time.monotonic() - start
+    assert elapsed < 120, f"the scan took {elapsed:.2f}s, budget 120s"
+
+
+@pytest.fixture
+def fresh_memo():
+    # the term memo and the certificate are rebuilt from the tables in use
+    set_cache_enabled(False)
+    set_cache_enabled(True)
+    yield
+    set_cache_enabled(False)
+    set_cache_enabled(True)
+
+
+@pytest.mark.parametrize("gen", [MERGE, SPLIT, CUP, CAP], ids=lambda g: g.name)
+def test_a_broken_table_fails_the_certificate_and_the_scan_decides(gen, fresh_memo, monkeypatch):
+    nodes = dict(generator_tensors())
+    scale, tensor = nodes[gen]
+    key = min(tensor)
+    nodes[gen] = (scale, {**tensor, key: tensor[key] + 1})
+    monkeypatch.setattr(functor, "_NODES", nodes)
+    assert not functor._certificate()["holds"]
+    assert not functor._certificate()[gen.name + "_ok"]
+    e1 = build_named("e1").specialize(ALPHA, DELTA)
+    maps = [e1.then(e1) - e1]
+    for name in ("magic", "bosnia_diff"):
+        spec = catalog()[name]
+        maps.append(spec.lhs.specialize(ALPHA, DELTA) - spec.rhs.specialize(ALPHA, DELTA))
+    for d in maps:
+        assert is_zero(d) == (scan_basis(d)[1] == 0)
 
 
 def test_trace_pairing_agrees_with_the_basis_scan():
