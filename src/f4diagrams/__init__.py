@@ -2,8 +2,9 @@
 
 Layers, bottom to top:
 
-* ``exactla``    -- rationals, matrices, rank/nullspace/inverse, the one
-                   contractor of sparse integer tensor networks
+* ``exactla``    -- the one exact elimination (rank/nullspace/inverse on
+                   sparse rational rows), the one contractor of sparse
+                   integer tensor networks
 * ``ratfield``   -- the coefficient field Q(a, d) of rational functions
 * ``octonion``   -- the 8-dimensional composition algebra over Q
 * ``albert``     -- the 27-dim exceptional Jordan algebra, trace form, bases,

@@ -51,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .exactla import Node, RatMatrix, Scaled, contract_sum
+from .exactla import Node, Scaled, contract_sum, inverse
 from .octonion import MULT_TABLE, Octonion, oct_to_str
 
 ZERO = Fraction(0)
@@ -345,37 +345,31 @@ def _jordan_node() -> Scaled:
 _UNIT_TRACE: Scaled = (1, {(r,): 1 for r in range(3)})
 
 
-def left_mult_matrix(a: AlbertElement) -> RatMatrix:
-    """27x27 matrix of L_a: b -> a o b in the full basis."""
+def left_mult_matrix(a: AlbertElement) -> List[List[Fraction]]:
+    """27x27 matrix of L_a: b -> a o b in the full basis, as rows."""
     cols = [coords_A(jordan(a, b)) for b in basis_A()]
-    m = RatMatrix(27, 27)
-    for j, col in enumerate(cols):
-        for i, v in enumerate(col):
-            m.data[i][j] = v
-    return m
+    return [list(row) for row in zip(*cols)]
 
 
 def left_mult_trace(a: AlbertElement) -> Fraction:
     m = left_mult_matrix(a)
-    return sum((m.data[i][i] for i in range(27)), ZERO)
+    return sum((m[i][i] for i in range(27)), ZERO)
 
 
 def dual_basis_A() -> Tuple[List[AlbertElement], List[AlbertElement]]:
     """The full-algebra basis together with its B-dual (27 pairs)."""
     bas = basis_A()
     n = len(bas)
-    gram = RatMatrix(n, n)
+    gram = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            v = bform(bas[i], bas[j])
-            gram.data[i][j] = v
-            gram.data[j][i] = v
-    ginv = gram.inverse()
+            gram[i][j] = gram[j][i] = bform(bas[i], bas[j])
+    ginv = inverse(gram)
     dual = []
     for i in range(n):
         acc = AlbertElement.zero()
         for j in range(n):
-            c = ginv.data[i][j]
+            c = ginv[i][j]
             if c:
                 acc = acc + bas[j].scale(c)
         dual.append(acc)

@@ -33,11 +33,13 @@ under words in S, by exact echelon reduction.  Then the kernel of any
 1->n diagram map is closed under S, so a map that kills b0 is zero: this
 is what lets ``functor.is_zero`` decide a map on one input.
 
-bracket() and in_span() are contractions of the basis nodes too.  The
-basis is cached as plain text (one 27x27 block of rationals per
-derivation) under F4DIAGRAMS_CACHE_DIR, default ~/.cache/f4diagrams; a
-fingerprint of the structure constants guards the cache against
-basis-convention drift.
+bracket() and in_span() are contractions of the basis nodes too.  A
+Derivation holds only its node.  The basis is cached as plain text under
+F4DIAGRAMS_CACHE_DIR, default ~/.cache/f4diagrams: per derivation, its
+solution vector as 27 lines of 27 rationals (line r is row r of the
+matrix).  The file is written from and read back into those flat
+vectors; a file of any other shape is rejected, and a fingerprint of the
+structure constants guards it against basis-convention drift.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ import tempfile
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .albert import (
@@ -59,7 +62,7 @@ from .albert import (
     _jordan_node,
     coords_A,
 )
-from .exactla import Node, RatMatrix, Scaled, _scaled, contract_sum, echelon_insert, sparse_nullspace
+from .exactla import Node, Scaled, _scaled, contract_sum, echelon_insert, sparse_nullspace
 
 N_A = 27
 N_V = N_A - 1
@@ -73,14 +76,28 @@ _CACHE_FILE = "derivation_basis.txt"
 
 @dataclass(frozen=True)
 class Derivation:
-    """A derivation of A: its 27x27 matrix on the fixed basis, and the same
-    map as a node keyed (input, output)."""
+    """A derivation of A, as a node keyed (input, output): entry (c, r) is
+    D[r][c], the coordinate r of the image of basis element c."""
 
-    matrix: RatMatrix
     node: Scaled
 
+    @property
+    def matrix(self) -> SimpleNamespace:
+        """The 27x27 matrix on the fixed basis, as ``.data``: 27 rows of 27
+        Fractions, built from the node.  bench/worker.py's basis_digest
+        hashes it."""
+        scale, tensor = self.node
+        data = [[Fraction(0)] * N_A for _ in range(N_A)]
+        for (c, r), n in tensor.items():
+            data[r][c] = Fraction(n, scale)
+        return SimpleNamespace(data=data)
+
     def apply_coords(self, coords: Sequence[Fraction]) -> List[Fraction]:
-        return self.matrix.mul_vec(list(coords))
+        scale, tensor = self.node
+        out = [Fraction(0)] * N_A
+        for (c, r), n in tensor.items():
+            out[r] += Fraction(n, scale) * coords[c]
+        return out
 
     def apply(self, a: AlbertElement) -> AlbertElement:
         return _from_coords_A(self.apply_coords(coords_A(a)))
@@ -198,11 +215,13 @@ def _cache_path() -> str:
     return os.path.join(root, _CACHE_FILE)
 
 
-def _write_cache(path: str, mats: List[RatMatrix]) -> None:
+def _write_cache(path: str, flat: List[List[Fraction]]) -> None:
+    """Write each flat vector as a block of 27 lines of 27 rationals (line
+    r holds D[r][c] = vec[27*r + c]), blocks ending in a blank line."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    parts = [f"fingerprint {_conventions_fingerprint()}", f"count {len(mats)}", ""]
-    for m in mats:
-        parts.append(m.to_text())
+    parts = [f"fingerprint {_conventions_fingerprint()}", f"count {len(flat)}", ""]
+    for vec in flat:
+        parts.extend(" ".join(map(str, vec[N_A * r : N_A * (r + 1)])) for r in range(N_A))
         parts.append("")
     # A unique temp file per writer, so concurrent processes never share one.
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=_CACHE_FILE, suffix=".tmp")
@@ -215,7 +234,10 @@ def _write_cache(path: str, mats: List[RatMatrix]) -> None:
         raise
 
 
-def _read_cache(path: str) -> Optional[List[RatMatrix]]:
+def _read_cache(path: str) -> Optional[List[List[Fraction]]]:
+    """The flat vectors of the cache file, or None unless it holds the
+    current fingerprint, a count, and that many blocks of 27 lines of 27
+    rationals."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
@@ -233,17 +255,13 @@ def _read_cache(path: str) -> Optional[List[RatMatrix]]:
         return None
     try:
         count = int(count_line[1])
-        body = [ln for ln in lines[2:] if ln.strip()]
-        if len(body) != count * N_A:
+        body = [ln.split() for ln in lines[2:] if ln.strip()]
+        if len(body) != count * N_A or any(len(row) != N_A for row in body):
             return None
-        mats = []
-        for b in range(count):
-            block = "\n".join(body[b * N_A : (b + 1) * N_A])
-            m = RatMatrix.from_text(block)
-            if m.rows != N_A or m.cols != N_A:
-                return None
-            mats.append(m)
-        return mats
+        return [
+            [Fraction(x) for row in body[b * N_A : (b + 1) * N_A] for x in row]
+            for b in range(count)
+        ]
     except (ValueError, ZeroDivisionError):
         return None
 
@@ -281,32 +299,24 @@ def derivation_basis() -> List[Derivation]:
         return list(_BASIS)
 
     path = _cache_path()
-    mats = _read_cache(path)
+    flat = _read_cache(path)
     free: Optional[List[int]] = None
-    if mats is not None:
-        flat = [[x for row in m.data for x in row] for m in mats]
+    if flat is not None:
         # a cache of derivations that is not in echelon form is re-solved too
         free = _free_columns(flat) if _certified(flat) else None
-    solved = free is None
-    if solved:
+    if free is None:
         flat = _compute_basis_fresh()
         if not _certified(flat):
             raise AssertionError("solved derivation basis failed exact certification")
         free = _free_columns(flat)
         if free is None:
             raise AssertionError("derivation basis lost its echelon marker columns")
-
-    if solved:
-        mats = [
-            RatMatrix.from_rows([vec[N_A * r : N_A * (r + 1)] for r in range(N_A)])
-            for vec in flat
-        ]
         try:
-            _write_cache(path, mats)
+            _write_cache(path, flat)
         except OSError as exc:
             warnings.warn(f"derivation basis not cached at {path}: {exc}", RuntimeWarning)
     _FREE_COLS = free
-    _BASIS = [Derivation(m, _node(vec)) for m, vec in zip(mats, flat)]
+    _BASIS = [Derivation(_node(vec)) for vec in flat]
     return list(_BASIS)
 
 

@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals, and sparse integer tensor networks.
 
 Entries are :class:`fractions.Fraction`, which already guarantees lowest
-terms, a positive denominator and arbitrary precision.  ``RatMatrix`` is a
-small dense row-major matrix with the three kernel operations everything
-else needs: rank, nullspace and inverse.
-``sparse_nullspace`` finds rank and nullspace of a large sparse system
-given row by row, with the same reduced-echelon conventions.
+terms, a positive denominator and arbitrary precision.  ``echelon_insert``
+is the package's one elimination: it reduces a sparse row {column: value}
+against the pivot rows found so far.  Rank is the number of rows it
+accepts; ``sparse_nullspace`` gives rank and nullspace of a system given
+row by row, and ``inverse`` reads a square matrix's inverse off the
+nullspace of [M | -I].
 
 ``contract_sum`` is the package's one contractor.  A tensor is a sparse
 dictionary of Python ints keyed by index tuples, stored with one scale, so
@@ -26,179 +27,10 @@ from heapq import heappop, heappush
 from itertools import count
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def rat_to_str(x: Fraction) -> str:
-    """Serialize as ``p/q``, or ``p`` when the denominator is 1."""
-    return str(Fraction(x))
-
-
-def _bitsize(x: Fraction) -> int:
-    # Size proxy used for pivot selection: small pivots keep the
-    # elimination's intermediate entries small.
-    return abs(x.numerator).bit_length() + x.denominator.bit_length()
-
-
-class RatMatrix:
-    """Dense matrix of Fractions, row-major."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows: int, cols: int, data: Optional[List[List[Fraction]]] = None):
-        self.rows = rows
-        self.cols = cols
-        if data is None:
-            self.data = [[ZERO] * cols for _ in range(rows)]
-        else:
-            if len(data) != rows or any(len(r) != cols for r in data):
-                raise ValueError("shape mismatch")
-            self.data = [[Fraction(x) for x in row] for row in data]
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "RatMatrix":
-        # Converts each entry once; __init__ would convert it a second time.
-        data = [[Fraction(x) for x in r] for r in rows]
-        ncols = len(data[0]) if data else 0
-        if any(len(r) != ncols for r in data):
-            raise ValueError("shape mismatch")
-        m = cls.__new__(cls)
-        m.rows, m.cols, m.data = len(data), ncols, data
-        return m
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.data[i][i] = ONE
-        return m
-
-    # -- basics ------------------------------------------------------------
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
-    def __setitem__(self, ij, value):
-        i, j = ij
-        self.data[i][j] = Fraction(value)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RatMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __repr__(self):
-        return f"RatMatrix({self.rows}x{self.cols})"
-
-    def to_text(self) -> str:
-        return "\n".join(" ".join(rat_to_str(x) for x in row) for row in self.data)
-
-    @classmethod
-    def from_text(cls, text: str) -> "RatMatrix":
-        return cls.from_rows(
-            line.split() for line in text.strip().splitlines() if line.strip()
-        )
-
-    def mul_vec(self, v: Sequence[Fraction]) -> List[Fraction]:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        return [sum((row[j] * v[j] for j in range(self.cols)), ZERO) for row in self.data]
-
-    def matmul(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        out = RatMatrix(self.rows, other.cols)
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = out.data[i]
-            for k in range(self.cols):
-                a = arow[k]
-                if a:
-                    brow = other.data[k]
-                    for j in range(other.cols):
-                        if brow[j]:
-                            orow[j] += a * brow[j]
-        return out
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            self.cols, self.rows, [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    # -- elimination kernel --------------------------------------------------
-
-    def _rref(self):
-        """Reduced row echelon form; returns (matrix rows, pivot column list).
-
-        Pivot choice: among the nonzero candidates in the current column,
-        take the entry of smallest bit-size (a growth-limiting heuristic;
-        any choice would be correct).
-        """
-        m = [row[:] for row in self.data]
-        pivots: List[int] = []
-        r = 0
-        for c in range(self.cols):
-            if r >= self.rows:
-                break
-            best = None
-            for i in range(r, self.rows):
-                if m[i][c]:
-                    sz = _bitsize(m[i][c])
-                    if best is None or sz < best[0]:
-                        best = (sz, i)
-            if best is None:
-                continue
-            i = best[1]
-            m[r], m[i] = m[i], m[r]
-            piv = m[r][c]
-            if piv != 1:
-                m[r] = [x / piv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    row_i, row_r = m[i], m[r]
-                    for j in range(c, self.cols):
-                        if row_r[j]:
-                            row_i[j] -= f * row_r[j]
-            pivots.append(c)
-            r += 1
-        return m, pivots
-
-    def rank(self) -> int:
-        return len(self._rref()[1])
-
-    def nullspace(self) -> List[List[Fraction]]:
-        """Basis of the right nullspace, one vector per free column."""
-        m, pivots = self._rref()
-        pivset = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivset]
-        basis = []
-        for fc in free:
-            v = [ZERO] * self.cols
-            v[fc] = ONE
-            for r, pc in enumerate(pivots):
-                v[pc] = -m[r][fc]
-            basis.append(v)
-        return basis
-
-    def inverse(self) -> "RatMatrix":
-        if self.rows != self.cols:
-            raise ValueError("not square")
-        n = self.rows
-        aug = RatMatrix(n, 2 * n, [row[:] + irow[:] for row, irow in zip(self.data, RatMatrix.identity(n).data)])
-        m, pivots = aug._rref()
-        if pivots != list(range(n)):
-            raise ValueError("singular matrix")
-        return RatMatrix(n, n, [row[n:] for row in m])
 
 
 def _sub_scaled(row: Dict[int, Fraction], f: Fraction, prow: Mapping[int, Fraction]) -> None:
@@ -234,9 +66,10 @@ def sparse_nullspace(
 
     Each row is a mapping column -> value (zero values allowed), reduced
     by ``echelon_insert``.  Back-substitution then brings the pivot rows
-    to reduced echelon form, so the vectors (one per free column, in
-    column order) are the ones :meth:`RatMatrix.nullspace` returns for the
-    same system.
+    to reduced echelon form, so there is one vector per free column, in
+    column order: 1 at its own free column, 0 at the other free columns,
+    and minus the reduced pivot rows' entries in that column at the pivot
+    columns.
     """
     pivots: Dict[int, Dict[int, Fraction]] = {}
     for src in rows:
@@ -258,6 +91,25 @@ def sparse_nullspace(
                 v[pc] = -prow[fc]
         basis.append(v)
     return len(pivots), basis
+
+
+def inverse(rows: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
+    """The inverse of a square matrix, given and returned as rows, exactly.
+
+    The nullspace of [M | -I] is {(x, Mx)}.  When M is invertible its free
+    columns are the last n, and the vector of free column n + k is
+    (M^-1 e_k, e_k); the second halves are checked to be the identity, so
+    the first halves X satisfy M X = I.  Raises ValueError when M is not
+    square or is singular.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("not square")
+    system = ({**dict(enumerate(row)), n + i: -ONE} for i, row in enumerate(rows))
+    _, basis = sparse_nullspace(system, 2 * n)
+    if any(v[n:] != [int(j == k) for j in range(n)] for k, v in enumerate(basis)):
+        raise ValueError("singular matrix")
+    return [[v[i] for v in basis] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,6 @@ from .diagram import (
 from .exactla import (
     IntSparse,
     Node,
-    RatMatrix,
     Scaled,
     _combo_sum,
     _contract_network,
@@ -77,6 +76,8 @@ from .exactla import (
     _project,
     _scaled,
     contract_sum,
+    echelon_insert,
+    inverse,
 )
 
 ZERO = Fraction(0)
@@ -110,7 +111,7 @@ def generator_tensors() -> Dict[Gen, Scaled]:
     network on the one contractor: with J and tr the Jordan and trace
     nodes of ``albert``, merge is (iota x iota) ; J ; p and cap is
     (iota x iota) ; J ; tr; cup is the inverse of the Gram matrix cap,
-    checked exactly; and split is
+    checked exactly as the contraction cap ; cup = 1; and split is
     (cup x 1) ; (1 x merge), which is b_k -> sum_i b_i (x) pi(b~_i o b_k)
     for the dual basis b~.
     """
@@ -121,13 +122,11 @@ def generator_tensors() -> Dict[Gen, Scaled]:
         merge = contract_sum([(1, vertex + [((c, z), _PROJ)])], (x, y, z))
         cap = contract_sum([(1, vertex + [((c,), _UNIT_TRACE)])], (x, y))
 
-        gram = RatMatrix(DIM, DIM)
-        for (i, j), n in cap[1].items():
-            gram.data[i][j] = Fraction(n, cap[0])
-        ginv = gram.inverse()  # raises on singular
-        if gram.matmul(ginv) != RatMatrix.identity(DIM):
+        gram = [[Fraction(cap[1].get((i, j), 0), cap[0]) for j in range(DIM)] for i in range(DIM)]
+        cup = _scaled({(i, j): v for i, row in enumerate(inverse(gram)) for j, v in enumerate(row) if v})
+        eye = (1, {(i, i): 1 for i in range(DIM)})
+        if contract_sum([(1, [((x, a), cap), ((a, z), cup)]), (-1, [((x, z), eye)])], (x, z))[1]:
             raise AssertionError("Gram inversion defect")
-        cup = _scaled({(i, j): v for i, row in enumerate(ginv.data) for j, v in enumerate(row) if v})
         # split on wires 0 (input), 1 and 2 (cup's legs) and 3 (output)
         split = contract_sum([(1, [((1, 2), cup), ((2, 0, 3), merge)])], (0, 1, 3))
         _NODES = {MERGE: merge, SPLIT: split, CUP: cup, CAP: cap}
@@ -360,13 +359,12 @@ def gram_rank(fs: Sequence) -> int:
         if (f.src, f.tgt) != arity:
             raise DiagramArityError("gram_rank needs combos of one common arity")
     n = len(fs)
-    m = RatMatrix(n, n)
+    m = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            v = trace_pairing(fs[i], fs[j])
-            m.data[i][j] = v
-            m.data[j][i] = v
-    return m.rank()
+            m[i][j] = m[j][i] = trace_pairing(fs[i], fs[j])
+    pivots: Dict[int, Dict[int, Fraction]] = {}
+    return sum(echelon_insert(pivots, dict(enumerate(row))) for row in m)
 
 
 # ---------------------------------------------------------------------------

@@ -221,7 +221,7 @@ def test_criterion_13_algebra_property_suite():
         # basis/dual conveyor identity) both consume the matrix of a o -, so
         # one pass builds it for a shared pool of 100 random elements.
         albs = [_random_albert(rng) for _ in range(100)]
-        mults = [left_mult_matrix(a).data for a in albs]
+        mults = [left_mult_matrix(a) for a in albs]
 
         for a, m in zip(albs, mults):
             assert sum(m[i][i] for i in range(27)) == 9 * alb_trace(a)

@@ -11,12 +11,15 @@ import pytest
 
 import f4diagrams.derivations as dv
 from f4diagrams.albert import AlbertElement, alb_trace, basis_V, coords_A, coords_V, jordan
-from f4diagrams.exactla import RatMatrix
 from f4diagrams.octonion import Octonion
 
 # sha256 of a solved basis, entry by entry, as bench/worker.py's basis_digest
 # hashes it; a change of echelon convention or of basis changes it.
 BASIS_DIGEST = "9b1e0718fdb7b914063bc77e4a0df0c191d09a1db17249b620acf4aba336c614"
+# size and sha256 of the cache file a cold solve writes; the file format is
+# an interface too (a cache written by one version is read by the next).
+CACHE_BYTES = 77342
+CACHE_SHA256 = "e35999ca3c9a315025cee16d6f5d56bf7acd7f9bf2fd5e86a3075cd76ba58b5a"
 
 def _random_albert(rng):
     diag = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
@@ -33,8 +36,8 @@ def _reset_memo():
     dv._RESTRICTED = None
 
 
-def _flat(mats):
-    return [[m.data[r][c] for r in range(27) for c in range(27)] for m in mats]
+def _flat(basis):
+    return [[x for row in d.matrix.data for x in row] for d in basis]
 
 
 def _digest(basis):
@@ -59,7 +62,7 @@ def test_basis_size_and_shape():
     basis = dv.derivation_basis()
     assert len(basis) == dv.DIM_DER == 52
     for d in basis:
-        assert (d.matrix.rows, d.matrix.cols) == (27, 27)
+        assert len(d.matrix.data) == 27 and all(len(row) == 27 for row in d.matrix.data)
 
 
 def test_derivations_kill_unit_and_trace():
@@ -86,10 +89,14 @@ def test_bracket_stays_in_span():
     scale, node = dv.bracket(basis[4], basis[31])
     assert dv.in_span((scale, node))
     # the node is the dense commutator AB - BA, keyed (input, output)
-    a, b = basis[4].matrix, basis[31].matrix
-    ab, ba = a.matmul(b), b.matmul(a)
+    a, b = basis[4].matrix.data, basis[31].matrix.data
+
+    def mul(x, y):
+        return [[sum(x[r][k] * y[k][c] for k in range(27)) for c in range(27)] for r in range(27)]
+
+    ab, ba = mul(a, b), mul(b, a)
     assert {(c, r): Fraction(n, scale) for (c, r), n in node.items()} == {
-        (c, r): ab[r, c] - ba[r, c] for r in range(27) for c in range(27) if ab[r, c] != ba[r, c]
+        (c, r): ab[r][c] - ba[r][c] for r in range(27) for c in range(27) if ab[r][c] != ba[r][c]
     }
     report = dv.check_bracket_closure(samples=((0, 1), (10, 44)))
     assert report["holds"]
@@ -194,7 +201,7 @@ def test_cache_round_trip():
     assert path.startswith(os.environ["F4DIAGRAMS_CACHE_DIR"])
     cached = dv._read_cache(path)
     assert cached is not None and len(cached) == 52
-    assert all(m.data == d.matrix.data for m, d in zip(cached, first))
+    assert cached == _flat(first)
     _reset_memo()
     again = dv.derivation_basis()
     assert all(x.matrix.data == y.matrix.data for x, y in zip(first, again))
@@ -219,17 +226,17 @@ def test_corrupt_cache_triggers_recompute():
 def test_tampered_cache_is_repaired():
     basis = dv.derivation_basis()
     path = dv._cache_path()
-    mats = dv._read_cache(path)
-    mats[0].data[3][5] += 1  # still parses, no longer a derivation
-    dv._write_cache(path, mats)
+    flat = dv._read_cache(path)
+    flat[0][27 * 3 + 5] += 1  # still parses, no longer a derivation
+    dv._write_cache(path, flat)
     tampered = dv._read_cache(path)
-    assert not dv._certified(_flat(tampered))
+    assert not dv._certified(tampered)
     _reset_memo()
     recomputed = dv.derivation_basis()
     assert all(x.matrix.data == y.matrix.data for x, y in zip(basis, recomputed))
     # the re-solve rewrote the file, so the next load certifies
     repaired = dv._read_cache(path)
-    assert dv._certified(_flat(repaired))
+    assert dv._certified(repaired)
     assert not any(name.endswith(".tmp") for name in os.listdir(os.path.dirname(path)))
 
 
@@ -237,7 +244,7 @@ def test_tampered_cache_is_repaired():
 def test_certificate_rejects_a_tampered_entry(seed):
     # one entry of one matrix changed by +1, as bench/run.py's tamper does:
     # the file would still parse, but the matrix is no longer a derivation
-    flat = _flat(d.matrix for d in dv.derivation_basis())
+    flat = _flat(dv.derivation_basis())
     rng = random.Random(seed)
     f, u = rng.randrange(len(flat)), rng.randrange(27 * 27)
     flat[f][u] += 1
@@ -253,7 +260,7 @@ def test_undecodable_cache_is_repaired():
     _reset_memo()
     recomputed = dv.derivation_basis()
     assert all(x.matrix.data == y.matrix.data for x, y in zip(basis, recomputed))
-    assert dv._certified(_flat(dv._read_cache(path)))
+    assert dv._certified(dv._read_cache(path))
 
 
 def test_unwritable_cache_still_returns_the_basis(tmp_path, monkeypatch):
@@ -277,20 +284,56 @@ def test_cold_solve_digest(tmp_path, monkeypatch):
         basis = dv.derivation_basis()
     finally:
         _reset_memo()
-    assert os.path.exists(tmp_path / "derivation_basis.txt")
     assert _digest(basis) == BASIS_DIGEST
+    blob = (tmp_path / "derivation_basis.txt").read_bytes()
+    assert len(blob) == CACHE_BYTES
+    assert hashlib.sha256(blob).hexdigest() == CACHE_SHA256
+
+
+def _one_token_short(lines):
+    lines[3] = lines[3].rsplit(" ", 1)[0]
+
+
+def _one_line_short(lines):
+    del lines[3]
+
+
+def _zero_denominator(lines):
+    lines[3] = "1/0" + lines[3][lines[3].index(" "):]
+
+
+@pytest.mark.parametrize("damage", [_one_token_short, _one_line_short, _zero_denominator])
+def test_misshapen_cache_is_rejected_and_repaired(tmp_path, monkeypatch, damage):
+    # a row of 26 tokens, a body one line short of count x 27, or an entry
+    # 1/0: the reader refuses the file and the load re-solves
+    flat = _flat(dv.derivation_basis())
+    monkeypatch.setenv(dv.CACHE_ENV, str(tmp_path))
+    path = dv._cache_path()
+    dv._write_cache(path, flat)
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    damage(lines)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines))
+    assert dv._read_cache(path) is None
+    _reset_memo()
+    try:
+        assert _digest(dv.derivation_basis()) == BASIS_DIGEST
+    finally:
+        _reset_memo()
+    assert dv._read_cache(path) == flat
 
 
 def test_non_echelon_cache_is_repaired(tmp_path, monkeypatch):
     # 52 valid derivations that are not in echelon form (matrix 1 replaced
     # by matrix 0 + matrix 1) pass the certificate but have no marker
     # columns: the load re-solves and rewrites the file, as for a failed one
-    mats = [d.matrix for d in dv.derivation_basis()]
+    flat = _flat(dv.derivation_basis())
     monkeypatch.setenv(dv.CACHE_ENV, str(tmp_path))
     path = dv._cache_path()
-    mixed = RatMatrix.from_rows([[a + b for a, b in zip(*rows)] for rows in zip(mats[0].data, mats[1].data)])
-    dv._write_cache(path, [mats[0], mixed] + mats[2:])
-    flat = _flat(dv._read_cache(path))
+    mixed = [a + b for a, b in zip(flat[0], flat[1])]
+    dv._write_cache(path, [flat[0], mixed] + flat[2:])
+    flat = dv._read_cache(path)
     assert dv._certified(flat) and dv._free_columns(flat) is None
     _reset_memo()
     try:
@@ -307,7 +350,7 @@ def test_production_paths_multiply_no_element_objects(tmp_path):
     # The generator tables, a warm basis load and the equivariance check run
     # on the Jordan node alone: with jordan and the element constructor
     # refusing, they still succeed.
-    dv._write_cache(str(tmp_path / "derivation_basis.txt"), [d.matrix for d in dv.derivation_basis()])
+    dv._write_cache(str(tmp_path / "derivation_basis.txt"), _flat(dv.derivation_basis()))
     code = (
         "import f4diagrams.albert as al\n"
         "def refuse(*args, **kwargs):\n"

@@ -37,7 +37,7 @@ from f4diagrams.diagram import (
     tensor_all,
     to_layers,
 )
-from f4diagrams.exactla import RatMatrix
+from f4diagrams.exactla import inverse
 from f4diagrams.functor import (
     MAX_PHI_ENTRIES,
     apply_combo_to_basis,
@@ -45,6 +45,7 @@ from f4diagrams.functor import (
     basis_indices,
     closure,
     generator_tensors,
+    gram_rank,
     phi_closed,
     phi_tensor,
     scan_basis,
@@ -135,17 +136,13 @@ def test_split_against_albert_products():
     # dual basis b~ built here from an inverted Gram matrix of trace forms.
     split = _rows(SPLIT, 1)
     bas = basis_V()
-    gram = RatMatrix(26, 26)
-    for i in range(26):
-        for j in range(i, 26):
-            gram.data[i][j] = gram.data[j][i] = bform(bas[i], bas[j])
-    ginv = gram.inverse()
+    ginv = inverse([[bform(x, y) for y in bas] for x in bas])
     dual = []
     for i in range(26):
         acc = AlbertElement.zero()
         for j in range(26):
-            if ginv.data[i][j]:
-                acc = acc + bas[j].scale(ginv.data[i][j])
+            if ginv[i][j]:
+                acc = acc + bas[j].scale(ginv[i][j])
         dual.append(acc)
     for k in range(26):
         got = [[Fraction(0)] * 26 for _ in range(26)]
@@ -258,6 +255,15 @@ def test_gram_matrices_are_positive_definite(spanning):
         for r in range(c + 1, len(fs)):
             f = gram[r][c] / gram[c][c]
             gram[r] = [x - f * y for x, y in zip(gram[r], gram[c])]
+
+
+def test_gram_rank_of_dependent_spanning_sets():
+    # gram_rank is the rank of the pairing matrix, so repeated or dependent
+    # diagrams add nothing, and no diagrams span nothing
+    fs = bigfive_list()
+    assert gram_rank(fs + [fs[0] + fs[3]]) == 5
+    assert gram_rank(fs[:2] + [fs[0]]) == 2
+    assert gram_rank([]) == 0
 
 
 def _reference_combo(f, idx):
