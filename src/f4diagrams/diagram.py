@@ -27,7 +27,7 @@ import math
 import re
 from fractions import Fraction
 from itertools import permutations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .ratfield import RatFunc, rf_specialize
 
@@ -36,6 +36,11 @@ Coefficient = Union[Fraction, RatFunc]
 #: largest N the parser accepts in sym(N)/asym(N): the combo has N! terms,
 #: and N = 8 already takes tens of seconds and hundreds of MB to build
 MAX_SYMMETRIZER = 7
+
+#: deepest nesting the parser accepts, counting each open parenthesis and
+#: each scalar prefix "N *": it descends one level per nesting, so deeper
+#: text would exhaust the interpreter's recursion limit
+MAX_NESTING = 100
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -768,13 +773,15 @@ def _tokenize(text: str) -> List[_Token]:
 class _Parser:
     """Recursive descent for:  sum > seq(;) > tensor(@) > scalar(*) > atom.
 
-    ';' is timeline order: "f ; g" applies f first.
+    ';' is timeline order: "f ; g" applies f first.  Parentheses and
+    scalar prefixes nest at most MAX_NESTING deep.
     """
 
     def __init__(self, text: str):
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -789,6 +796,15 @@ class _Parser:
         if t.kind != "op" or t.text != op:
             raise DiagramSyntaxError(f"expected {op!r}", t.pos)
         return self.take()
+
+    def nested(self, t: _Token, level: Callable[[], DiagramCombo]) -> DiagramCombo:
+        """level() one nesting deeper, t being the token that opens it."""
+        if self.depth == MAX_NESTING:
+            raise DiagramSyntaxError(f"nesting deeper than {MAX_NESTING} levels", t.pos)
+        self.depth += 1
+        c = level()
+        self.depth -= 1
+        return c
 
     # -- levels ----------------------------------------------------------------
 
@@ -853,13 +869,13 @@ class _Parser:
         if t.kind == "number":
             self.take()
             self.expect_op("*")
-            return self.factor().scale(Fraction(t.text))
+            return self.nested(t, self.factor).scale(Fraction(t.text))
         return self.atom()
 
     def atom(self) -> DiagramCombo:
         t = self.take()
         if t.kind == "op" and t.text == "(":
-            c = self.sum()
+            c = self.nested(t, self.sum)
             self.expect_op(")")
             return c
         if t.kind == "name":

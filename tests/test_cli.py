@@ -249,6 +249,28 @@ def test_verify_all_never_touches_the_derivation_cache(tmp_path):
     assert blocker.read_text() == ""
 
 
+def test_deep_nesting_fails_fast_with_exit_2(capsys):
+    # each "(" and each "2*" prefix is one level of the recursive-descent
+    # parser; past MAX_NESTING it stops with a positioned syntax error
+    # instead of exhausting the interpreter's recursion limit
+    from f4diagrams.diagram import MAX_NESTING
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    hostile = [("(" * 300 + "merge" + ")" * 300, MAX_NESTING), ("2*" * 2000 + "merge", 2 * MAX_NESTING)]
+    for text, pos in hostile:
+        start = time.monotonic()
+        out = subprocess.run(
+            [sys.executable, "-m", "f4diagrams.cli", "eval", text],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        )
+        elapsed = time.monotonic() - start
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == f"error: nesting deeper than {MAX_NESTING} levels at position {pos}\n"
+        assert elapsed < 2, f"took {elapsed:.2f}s, budget 2s"
+    for text in ("(" * 50 + "merge" + ")" * 50, "2*" * 50 + "merge", "2*(" * 50 + "merge" + ")" * 50):
+        assert run(capsys, "eval", text) == (0, "2 -> 1 map, 1 term(s)\n", "")
+
+
 def test_verify_and_dims_need_no_derivation_basis(capsys, monkeypatch):
     import f4diagrams.derivations as dv
     from f4diagrams.functor import set_cache_enabled
@@ -261,3 +283,24 @@ def test_verify_and_dims_need_no_derivation_basis(capsys, monkeypatch):
     set_cache_enabled(True)
     assert run(capsys, "verify", "sack") == (0, "sack: OK (676 inputs)\n", "")
     assert run(capsys, "dims") == (0, "e0 1\ne1 52\ne3 273\ne4 26\netilde 324\n", "")
+
+
+def test_verify_builds_the_certificate_once(capsys, monkeypatch):
+    # every zero test of a run shares the one per-process certificate
+    import f4diagrams.derivations as dv
+    from f4diagrams.functor import set_cache_enabled
+
+    builds = []
+    certify = dv.cyclic_certificate
+
+    def counting(nodes):
+        builds.append(nodes)
+        return certify(nodes)
+
+    monkeypatch.setattr(dv, "cyclic_certificate", counting)
+    set_cache_enabled(False)  # forget the certificate of earlier tests
+    set_cache_enabled(True)
+    rc, out, err = run(capsys, "verify", "vortex", "bosnia", "sack")
+    assert (rc, err) == (0, "")
+    assert out.count(": OK (") == 8
+    assert len(builds) == 1

@@ -11,6 +11,7 @@ import pytest
 
 import f4diagrams.derivations as dv
 from f4diagrams.albert import AlbertElement, alb_trace, basis_V, coords_A, coords_V, jordan
+from f4diagrams.diagram import CAP, CUP, MERGE, SPLIT
 from f4diagrams.octonion import Octonion
 
 # sha256 of a solved basis, entry by entry, as bench/worker.py's basis_digest
@@ -127,15 +128,15 @@ def test_equivariance_fails_for_a_non_derivation(monkeypatch):
 
 
 def test_cyclic_certificate_holds():
-    # b0 = E11 - E22 spans V under the 16 nonzero inner derivations
-    # [L_E11, L_b], all four generator tables commute with each, and caps
+    # b0 = E11 - E22 spans V under the five inner derivations [L_E11, L_b]
+    # of INNER_UNITS, all four generator tables commute with each, and caps
     # undo cups
     from f4diagrams.functor import generator_tensors
 
-    assert len(dv.inner_derivations()) == 16
+    assert len(dv.inner_derivations()) == len(dv.INNER_UNITS) == 5
     assert dv.cyclic_certificate(generator_tensors()) == {
         "holds": True,
-        "operators": 16,
+        "operators": 5,
         "merge_ok": True,
         "split_ok": True,
         "cap_ok": True,
@@ -143,6 +144,53 @@ def test_cyclic_certificate_holds():
         "span": 26,
         "zigzag_ok": True,
     }
+
+
+def _tampered(gen, seed):
+    """The generator tables with +1 added to one int entry of gen's table:
+    an entry drawn by the seed, or, for seed None, the first entry that is
+    zero."""
+    from itertools import product
+
+    from f4diagrams.functor import generator_tensors
+
+    nodes = dict(generator_tensors())
+    scale, tensor = nodes[gen]
+    if seed is None:
+        arity = len(next(iter(tensor)))
+        key = next(k for k in product(range(26), repeat=arity) if k not in tensor)
+    else:
+        key = random.Random(seed).choice(sorted(tensor))
+    nodes[gen] = (scale, {**tensor, key: tensor.get(key, 0) + 1})
+    return nodes
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, None], ids=lambda s: f"seed{s}" if s is not None else "zero")
+@pytest.mark.parametrize("gen", [MERGE, SPLIT, CUP, CAP], ids=lambda g: g.name)
+def test_certificate_catches_a_tampered_table(gen, seed):
+    # the five operators of S see a +1 in any one entry of any table, so a
+    # broken table fails the certificate and is_zero falls back to the scan
+    cert = dv.cyclic_certificate(_tampered(gen, seed))
+    assert not cert[gen.name + "_ok"]
+    assert not cert["holds"]
+
+
+def test_certificate_work_is_bounded(monkeypatch):
+    # a count of contractions, not a timing budget: one build contracted
+    # 508 networks when S held all 16 nonzero inner derivations
+    from f4diagrams.functor import generator_tensors
+
+    nodes = generator_tensors()
+    calls = []
+    contract = dv.contract_sum
+
+    def counting(parts, boundary):
+        calls.append(boundary)
+        return contract(parts, boundary)
+
+    monkeypatch.setattr(dv, "contract_sum", counting)
+    assert dv.cyclic_certificate(nodes)["holds"]
+    assert len(calls) <= 160
 
 
 def test_certificate_needs_caps_to_undo_cups():
